@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -602,10 +603,28 @@ def decode_worker_result(payload: bytes) -> WorkerResult:
 
 
 def write_worker_result(result: WorkerResult, path) -> None:
+    """Write the canonical encoding to ``path``.
+
+    A conditional stream path is recorded relative to the result file's
+    directory, so a result and its stream can move together; the path the
+    worker wrote to may be relative to the current directory or absolute.
+    """
+    if result.conditional_stream_path is not None:
+        base = os.path.dirname(os.path.abspath(path))
+        result = replace(
+            result,
+            conditional_stream_path=os.path.relpath(result.conditional_stream_path, base),
+        )
     with open(path, "wb") as handle:
         handle.write(encode_worker_result(result))
 
 
 def read_worker_result(path) -> WorkerResult:
+    """Decode a result file; a relative stream path resolves against its directory."""
     with open(path, "rb") as handle:
-        return decode_worker_result(handle.read())
+        result = decode_worker_result(handle.read())
+    if result.conditional_stream_path is not None:
+        result.conditional_stream_path = os.path.join(
+            os.path.dirname(path), result.conditional_stream_path
+        )
+    return result

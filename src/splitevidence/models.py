@@ -260,6 +260,25 @@ def design(model: ModelSpec, data: Union[Dataset, Shard]) -> np.ndarray:
     return X[:, list(model.active)]
 
 
+def softplus_sum(linpred: np.ndarray, axis: Optional[int] = None):
+    """Logistic log-partition: the sum of log(1 + exp(x)) over ``axis``.
+
+    Every hot path of the logistic density (the batched likelihood, the
+    sampler closure and the L-BFGS objective) goes through this kernel;
+    ``log_likelihood`` keeps ``np.logaddexp`` as the independent reference.
+    It is computed as sum max(x, 0) + sum log1p(exp(-|x|)), with the first
+    term taken as (sum x + sum |x|) / 2, so the only temporary is one buffer
+    of |x| that exp and log1p then overwrite in place.
+    """
+    linpred = np.asarray(linpred, dtype=float)
+    mag = np.abs(linpred)
+    pos = 0.5 * (linpred.sum(axis=axis) + mag.sum(axis=axis))
+    np.negative(mag, out=mag)
+    np.exp(mag, out=mag)
+    np.log1p(mag, out=mag)
+    return pos + mag.sum(axis=axis)
+
+
 def log_likelihood(model: ModelSpec, theta: np.ndarray, data: Union[Dataset, Shard]) -> float:
     coefs, logsigma = _split_theta(model, theta)
     Xa = design(model, data)
@@ -293,7 +312,7 @@ def log_likelihood_batch(
         for lo in range(0, thetas.shape[0], step):
             hi = min(lo + step, thetas.shape[0])
             linpred = Xa @ coefs[lo:hi].T
-            out[lo:hi] = y @ linpred - np.logaddexp(0.0, linpred).sum(axis=0)
+            out[lo:hi] = y @ linpred - softplus_sum(linpred, axis=0)
         return out
     # Linear models reduce to the Gram matrix, independent of n per draw.
     gram = Xa.T @ Xa

@@ -43,6 +43,7 @@ from .models import (
     Shard,
     design,
     log_alpha,
+    softplus_sum,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -265,10 +266,13 @@ def _subprior_closure(model: ModelSpec, n_splits: int) -> Callable[[np.ndarray],
         L = chol_spd(cov, what="prior covariance")
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         const = -0.5 * (d * LOG_2PI + d * math.log(S) + logdet)
+        # whitening factor of the fractionated prior, S^-1/2 L^-1, built once
+        # so that each evaluation is a single mat-vec
+        white = solve_triangular(L, np.eye(d), lower=True) / math.sqrt(S)
 
         def subprior(theta: np.ndarray) -> float:
-            half = solve_triangular(L, theta - mean, lower=True)
-            return const - 0.5 * float(half @ half) / S
+            half = white @ (theta - mean)
+            return const - 0.5 * float(half @ half)
 
         return subprior
 
@@ -316,7 +320,7 @@ def subposterior_closure(
 
         def target(theta: np.ndarray) -> float:
             linpred = Xa @ theta
-            return float(y @ linpred - np.logaddexp(0.0, linpred).sum()) + subprior(theta)
+            return float(y @ linpred - softplus_sum(linpred)) + subprior(theta)
 
         return target
 
@@ -608,7 +612,7 @@ def _neg_log_subpost_and_grad(model: ModelSpec, shard: Shard, n_splits: int):
         grad = np.empty_like(theta)
         if isinstance(lik, LogisticLikelihood):
             linpred = Xa @ coef
-            val = -(float(y @ linpred) - float(np.logaddexp(0.0, linpred).sum()))
+            val = float(softplus_sum(linpred) - y @ linpred)
             grad_coef = -(Xa.T @ (y - expit(linpred)))
         elif isinstance(lik, LinearKnownVar):
             r = y - Xa @ coef

@@ -427,6 +427,68 @@ class TestWorkerCombineByHand:
         # streams round-trip exactly, so the combination is bit-equal
         assert hand_value == auto_value
 
+    def test_conditional_results_move_with_their_streams(
+        self, logistic_fixture, tmp_path, monkeypatch
+    ):
+        first = tmp_path / "A"
+        first.mkdir()
+        monkeypatch.chdir(first)
+        assert cli.main(
+            [
+                "shard",
+                "--data", logistic_fixture["data"],
+                "--splits", "2",
+                "--seed", "11",
+                "--out", "plan.json",
+            ]
+        ) == 0
+        for sid in range(2):
+            assert cli.main(
+                [
+                    "worker",
+                    "--data", logistic_fixture["data"],
+                    "--model", logistic_fixture["model"],
+                    "--plan", "plan.json",
+                    "--shard-id", str(sid),
+                    "--mode", "conditional",
+                    "--samples", "300",
+                    "--burn-in", "100",
+                    "--seed", "11",
+                    "--out", f"result_{sid}.json",
+                ]
+            ) == 0
+            recorded = json.loads((first / f"result_{sid}.json").read_text())
+            assert recorded["conditional_stream_path"] == f"cond_{sid}.ndjson"
+        combine = [
+            "combine",
+            "--model", logistic_fixture["model"],
+            "--results", "result_0.json", "result_1.json",
+        ]
+        assert cli.main([*combine, "--out", "evidence.json"]) == 0
+
+        # move the whole exchange directory, then combine again from its new home
+        moved = tmp_path / "B"
+        monkeypatch.chdir(tmp_path)
+        first.rename(moved)
+        monkeypatch.chdir(moved)
+        assert cli.main([*combine, "--out", "evidence_moved.json"]) == 0
+        assert (moved / "evidence_moved.json").read_bytes() == (
+            moved / "evidence.json"
+        ).read_bytes()
+        # results read from another directory find their streams too
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(
+            [
+                "combine",
+                "--model", logistic_fixture["model"],
+                "--results", "B/result_0.json", "B/result_1.json",
+                "--out", "evidence_outside.json",
+            ]
+        ) == 0
+        assert (tmp_path / "evidence_outside.json").read_bytes() == (
+            moved / "evidence.json"
+        ).read_bytes()
+
     def test_combine_writes_report(self, conjugate_fixture, tmp_path):
         plan_path = tmp_path / "plan.json"
         cli.main(

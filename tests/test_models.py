@@ -34,10 +34,12 @@ from splitevidence import (
     save_csv,
     whole_shard,
 )
+from splitevidence import models as models_module
 from splitevidence.models import (
     check_compatible,
     log_likelihood_batch,
     log_prior_batch,
+    softplus_sum,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -259,6 +261,18 @@ class TestLikelihoods:
             pscalar = [log_prior(model, t) for t in thetas]
             np.testing.assert_allclose(pbatch, pscalar, rtol=1e-12)
 
+    def test_logistic_batch_across_blocks_matches_scalar(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(30, 3))
+        data = Dataset(X=X, y=(rng.random(30) < 0.5).astype(float))
+        model = normal_model(np.zeros(3), np.eye(3), likelihood=LogisticLikelihood())
+        # 60 rows x draws per block: 2 draws of 30 rows, so 7 draws take 4 blocks
+        monkeypatch.setattr(models_module, "_BATCH_ROWS", 60)
+        thetas = 3.0 * rng.normal(size=(7, 3))
+        batch = log_likelihood_batch(model, thetas, data)
+        scalar = [log_likelihood(model, t, data) for t in thetas]
+        np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=1e-9)
+
     def test_active_features_subset_columns(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(12, 4))
@@ -278,6 +292,38 @@ class TestLikelihoods:
             log_likelihood(sub, theta, data), log_likelihood(full, theta, direct), rtol=1e-14
         )
         assert sub.theta_dim == 2
+
+
+class TestSoftplusSum:
+    EDGES = [0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0,
+             709.0, -709.0, 750.0, -750.0, 1e4, -1e4]
+
+    def test_matches_logaddexp(self):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([self.EDGES, rng.normal(size=300), 12.0 * rng.normal(size=300)])
+        ref = np.logaddexp(0.0, x)
+        flat = softplus_sum(x)
+        assert np.isfinite(flat)
+        np.testing.assert_allclose(flat, ref.sum(), rtol=1e-12, atol=1e-12)
+        # one row: the axis=0 form is the elementwise softplus
+        single = softplus_sum(x[None, :], axis=0)
+        assert np.all(np.isfinite(single))
+        np.testing.assert_allclose(single, ref, rtol=1e-12, atol=1e-12)
+
+    def test_axis0_matches_logaddexp_per_column(self):
+        # rows x draws, the layout of the batched likelihood block
+        rng = np.random.default_rng(9)
+        block = 3.0 * rng.normal(size=(40, 6))
+        block[: len(self.EDGES), 0] = self.EDGES
+        block[: len(self.EDGES), 3] = self.EDGES[::-1]
+        before = block.copy()
+        got = softplus_sum(block, axis=0)
+        assert got.shape == (6,)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(
+            got, np.logaddexp(0.0, block).sum(axis=0), rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_array_equal(block, before)
 
 
 class TestPriorDensities:

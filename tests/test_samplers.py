@@ -23,6 +23,7 @@ from splitevidence import (
 from splitevidence.models import Shard
 from splitevidence.samplers import (
     Chain,
+    _neg_log_subpost_and_grad,
     ConditionalGaussianStream,
     chain_moments,
     laplace_fit,
@@ -331,6 +332,68 @@ class TestSubposteriorClosure:
                     rtol=1e-9,
                     atol=1e-9,
                 )
+
+        # A correlated prior covariance, feature subsets down to the empty
+        # model that reversible jump visits, S=16, and coefficients large
+        # enough that the logistic linear predictor saturates (|x| > 709).
+        priors = [prior]
+        if prior_kind == "normal":
+            a = rng.normal(size=(p, p))
+            priors.append(NormalPrior(mean=rng.normal(size=p), cov=a @ a.T + 0.5 * np.eye(p)))
+        for prior in priors:
+            for active in (None, (0, 2), ()):
+                model = ModelSpec(
+                    model_id="m", likelihood=lik, prior=prior, dim=p, active_features=active
+                )
+                for n_splits in (1, 4, 16):
+                    target = subposterior_closure(model, shard, n_splits)
+                    for coef_scale in (1.0, 1.0, 300.0):
+                        theta = rng.normal(size=model.theta_dim)
+                        theta[: model.n_coef] *= coef_scale
+                        np.testing.assert_allclose(
+                            target(theta),
+                            log_subposterior_unnorm(model, theta, shard, n_splits),
+                            rtol=1e-9,
+                            atol=1e-9,
+                        )
+
+
+class TestNegLogSubposteriorObjective:
+    @pytest.mark.parametrize("prior_kind", ["normal", "laplace"])
+    def test_logistic_gradient_matches_finite_differences(self, prior_kind):
+        rng = np.random.default_rng(31)
+        n, p = 80, 3
+        X = rng.normal(size=(n, p))
+        y = (rng.random(n) < 0.5).astype(float)
+        a = rng.normal(size=(p, p))
+        prior = (
+            NormalPrior(mean=rng.normal(size=p), cov=a @ a.T + 0.5 * np.eye(p))
+            if prior_kind == "normal"
+            else LaplacePrior(scale=0.9)
+        )
+        model = ModelSpec(model_id="m", likelihood=LogisticLikelihood(), prior=prior, dim=p)
+        shard = whole_shard(Dataset(X=X, y=y))
+        n_splits = 4
+        fun = _neg_log_subpost_and_grad(model, shard, n_splits)
+        h = 1e-6
+        theta0 = rng.normal(size=p)
+        for _ in range(4):
+            theta = rng.normal(size=p)
+            val, grad = fun(theta)
+            fd = np.empty(p)
+            for j in range(p):
+                step = np.zeros(p)
+                step[j] = h
+                fd[j] = (fun(theta + step)[0] - fun(theta - step)[0]) / (2.0 * h)
+            np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+            # the objective is minus the reference density up to a constant
+            np.testing.assert_allclose(
+                val - fun(theta0)[0],
+                log_subposterior_unnorm(model, theta0, shard, n_splits)
+                - log_subposterior_unnorm(model, theta, shard, n_splits),
+                rtol=1e-9,
+                atol=1e-9,
+            )
 
 
 class TestLaplaceFit:
