@@ -148,9 +148,21 @@ def _build_plan(data, splits: int, strategy: str, kmeans_k: int, seed: int) -> S
     return stratified_split(data.X, data.y, splits, kmeans_k=kmeans_k, seed=seed)
 
 
+def _mode_and_evidence(mode: str, evidence: str) -> Tuple[str, str]:
+    """Cluster mode and evidence method for a command-line mode and method.
+
+    Conditional mode always uses the chib estimator, which needs the
+    PG-Gibbs draws only conditional mode makes.
+    """
+    if mode == "conditional":
+        return mode, "chib"
+    if evidence == "chib":
+        raise ConfigurationError("the chib estimator needs conditional mode")
+    return ("exact_oracle" if mode == "exact" else mode), evidence
+
+
 def _cluster_config(cfg: RunConfig, stream_dir: Optional[str]) -> cluster.RunConfig:
-    mode = "exact_oracle" if cfg.mode == "exact" else cfg.mode
-    evidence = "chib" if cfg.mode == "conditional" else cfg.evidence
+    mode, evidence = _mode_and_evidence(cfg.mode, cfg.evidence)
     return cluster.RunConfig(
         mode=mode,
         evidence_method=evidence,
@@ -293,12 +305,7 @@ def _cmd_worker(args) -> int:
         raise ConfigurationError(
             f"shard id {args.shard_id} outside 0..{plan.n_splits - 1}"
         )
-    mode = "exact_oracle" if args.mode == "exact" else args.mode
-    evidence = args.evidence
-    if mode == "conditional":
-        evidence = "chib"
-    elif evidence == "chib":
-        raise ConfigurationError("the chib estimator needs conditional mode")
+    mode, evidence = _mode_and_evidence(args.mode, args.evidence)
     stream_path = args.stream_out
     if mode == "conditional" and stream_path is None:
         stream_path = os.path.join(
@@ -538,6 +545,7 @@ def _cmd_diagnose(args) -> int:
         raise ConfigurationError("splits must be positive integers")
     if args.repetitions < 1:
         raise ConfigurationError("repetitions must be at least 1")
+    mode, evidence = _mode_and_evidence(args.mode, args.evidence)
 
     rows = []
     for n_splits in split_values:
@@ -546,10 +554,8 @@ def _cmd_diagnose(args) -> int:
             plan = uniform_split(data.X.shape[0], n_splits, seed=master)
             for model in models:
                 cfg = cluster.RunConfig(
-                    mode=args.mode if args.mode != "exact" else "exact_oracle",
-                    evidence_method="chib"
-                    if args.mode == "conditional"
-                    else args.evidence,
+                    mode=mode,
+                    evidence_method=evidence,
                     n_samples=args.samples,
                     burn_in=args.burn_in,
                     evidence_samples=args.evidence_samples,

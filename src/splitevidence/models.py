@@ -263,8 +263,8 @@ def design(model: ModelSpec, data: Union[Dataset, Shard]) -> np.ndarray:
 def softplus_sum(linpred: np.ndarray, axis: Optional[int] = None):
     """Logistic log-partition: the sum of log(1 + exp(x)) over ``axis``.
 
-    Every hot path of the logistic density (the batched likelihood, the
-    sampler closure and the L-BFGS objective) goes through this kernel;
+    Every hot path of the logistic density (the batched likelihood and
+    ``samplers.SubposteriorDensity``) goes through this kernel;
     ``log_likelihood`` keeps ``np.logaddexp`` as the independent reference.
     It is computed as sum max(x, 0) + sum log1p(exp(-|x|)), with the first
     term taken as (sum x + sum |x|) / 2, so the only temporary is one buffer

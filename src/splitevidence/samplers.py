@@ -1,4 +1,11 @@
-"""Per-shard samplers: Polya-Gamma draws, adaptive RWMH, PG-Gibbs.
+"""Per-shard subposterior density and samplers: Polya-Gamma draws, RWMH, PG-Gibbs.
+
+``SubposteriorDensity`` is the one place the shard density (likelihood
+times the fractionated prior p(theta)^(1/S) / alpha) is defined and tuned.
+It is built once per (model, shard, S) and serves the random-walk and
+reversible-jump target, the L-BFGS objective and Hessian of the Laplace
+fit, and the prior block of PG-Gibbs; its logistic likelihood runs through
+the ``models.softplus_sum`` kernel.
 
 Two samplers produce subposterior draws.  A generic random-walk Metropolis
 chain works for every likelihood/prior pair; for logistic likelihoods with a
@@ -10,8 +17,7 @@ precision matrix, which is all the downstream estimators need.
 PG(1, c) variates are drawn exactly with the alternating-series rejection
 sampler of Devroye (mixture of a truncated exponential and a truncated
 inverse-Gaussian proposal, accepted through partial sums of the Jacobi
-series).  A truncated sum-of-gammas sampler with an analytic tail-mean
-correction is kept alongside as an independent cross-check.
+series).
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import block_diag, cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import expit, log_ndtr
 
@@ -34,15 +40,11 @@ from .errors import (
 )
 from .gaussian import GaussianMoments, chol_spd
 from .models import (
-    LaplacePrior,
-    LinearKnownVar,
-    LinearLogNormalVar,
     LogisticLikelihood,
     ModelSpec,
     NormalPrior,
     Shard,
     design,
-    log_alpha,
     softplus_sum,
 )
 
@@ -179,36 +181,6 @@ def sample_pg(c: float, rng: np.random.Generator) -> float:
     return float(sample_pg_vec(np.array([c]), rng)[0])
 
 
-def sample_pg_truncated_vec(
-    c: np.ndarray,
-    rng: np.random.Generator,
-    n_terms: int = 200,
-    chunk: int = 20_000,
-) -> np.ndarray:
-    """Truncated sum-of-gammas PG(1, c) draw with analytic tail-mean correction.
-
-    The infinite series (1/2 pi^2) sum_k g_k / ((k - 1/2)^2 + c^2/(4 pi^2))
-    with g_k iid Exp(1) is cut at ``n_terms`` and rescaled so its mean is
-    exactly E[PG(1, c)].
-    """
-    c = np.asarray(c, dtype=float)
-    flat = np.abs(c).ravel()
-    out = np.empty(flat.shape[0])
-    ksq = (np.arange(1, n_terms + 1) - 0.5) ** 2
-    for lo in range(0, flat.shape[0], chunk):
-        cc = flat[lo : lo + chunk]
-        denom = ksq[None, :] + (cc[:, None] / (2.0 * np.pi)) ** 2
-        gam = rng.standard_exponential((cc.shape[0], n_terms))
-        raw = (gam / denom).sum(axis=1) / (2.0 * np.pi**2)
-        mean_trunc = (1.0 / denom).sum(axis=1) / (2.0 * np.pi**2)
-        out[lo : lo + cc.shape[0]] = raw * (pg_mean(cc) / mean_trunc)
-    return out.reshape(np.shape(c)) if np.ndim(c) else out
-
-
-def sample_pg_truncated(c: float, rng: np.random.Generator, n_terms: int = 200) -> float:
-    return float(sample_pg_truncated_vec(np.array([c]), rng, n_terms=n_terms)[0])
-
-
 # ---------------------------------------------------------------------------
 # Chains and chain summaries.
 
@@ -247,106 +219,142 @@ def chain_moments(chain: Chain) -> GaussianMoments:
 
 
 # ---------------------------------------------------------------------------
-# Fast subposterior log-density closures.
+# The subposterior density of one shard.
 
-def _subprior_closure(model: ModelSpec, n_splits: int) -> Callable[[np.ndarray], float]:
-    """Normalized fractionated prior as a fast closure."""
-    S = n_splits
-    d = model.theta_dim
-    if isinstance(model.prior, NormalPrior):
-        mean = model.coef_prior_mean()
-        cov = model.coef_prior_cov()
-        if model.infers_scale:
-            lik = model.likelihood
-            mean = np.append(mean, lik.logsigma_mean)
-            full = np.zeros((d, d))
-            full[: d - 1, : d - 1] = cov
-            full[d - 1, d - 1] = lik.logsigma_sd**2
-            cov = full
-        L = chol_spd(cov, what="prior covariance")
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        const = -0.5 * (d * LOG_2PI + d * math.log(S) + logdet)
-        # whitening factor of the fractionated prior, S^-1/2 L^-1, built once
-        # so that each evaluation is a single mat-vec
-        white = solve_triangular(L, np.eye(d), lower=True) / math.sqrt(S)
+class SubposteriorDensity:
+    """log p(y_s | theta) + (1/S) log p(theta) - log alpha for one shard.
 
-        def subprior(theta: np.ndarray) -> float:
-            half = white @ (theta - mean)
-            return const - 0.5 * float(half @ half)
+    Built once per (model, shard, S); equals models.log_subposterior_unnorm.
+    Calling it gives the log density, the random-walk and reversible-jump
+    target; ``neg_and_grad`` and ``neg_hessian`` give the L-BFGS objective
+    and its curvature.
 
-        return subprior
-
-    scale = model.prior.scale
-    n_coef = model.n_coef
-    lap_const = -n_coef * math.log(2.0 * scale * S)
-    if model.infers_scale:
-        lik = model.likelihood
-        ls_const = -0.5 * (LOG_2PI + math.log(S) + 2.0 * math.log(lik.logsigma_sd))
-        ls_mean, ls_var = lik.logsigma_mean, lik.logsigma_sd**2
-
-        def subprior(theta: np.ndarray) -> float:
-            coef = theta[:-1]
-            ls = theta[-1]
-            return (
-                lap_const
-                - float(np.abs(coef).sum()) / (scale * S)
-                + ls_const
-                - 0.5 * (ls - ls_mean) ** 2 / (S * ls_var)
-            )
-
-        return subprior
-
-    def subprior(theta: np.ndarray) -> float:
-        return lap_const - float(np.abs(theta).sum()) / (scale * S)
-
-    return subprior
-
-
-def subposterior_closure(
-    model: ModelSpec, shard: Shard, n_splits: int
-) -> Callable[[np.ndarray], float]:
-    """Fast unnormalized log subposterior; equals models.log_subposterior_unnorm.
-
-    Linear likelihoods are reduced to their Gram matrices so each evaluation
-    costs O(theta_dim^2) independent of the shard size.
+    The fractionated prior has at most two blocks: a Gaussian block on the
+    trailing coordinates ``gauss`` (all of theta under a normal prior, log
+    sigma alone under a Laplace prior), with mean ``prior_mean`` and
+    precision ``prior_prec`` = Lambda / S, and a Laplace(0, b S) block on the
+    coefficients under a Laplace prior, ``laplace_scale`` = b S.  Linear likelihoods are reduced to
+    their Gram matrices, so each evaluation costs O(theta_dim^2) whatever
+    the shard size; a known noise variance is log sigma held fixed at
+    log(noise_var) / 2.
     """
-    subprior = _subprior_closure(model, n_splits)
-    Xa = design(model, shard)
-    y = shard.y
-    n = y.shape[0]
-    lik = model.likelihood
 
-    if isinstance(lik, LogisticLikelihood):
+    def __init__(self, model: ModelSpec, shard: Shard, n_splits: int):
+        S = n_splits
+        lik = model.likelihood
+        self.n_coef = model.n_coef
+        self.X = design(model, shard)
+        self.y = shard.y
+        self.n = self.y.shape[0]
+        self.logistic = isinstance(lik, LogisticLikelihood)
+        if not self.logistic:
+            self.gram = self.X.T @ self.X
+            self.xty = self.X.T @ self.y
+            self.yty = float(self.y @ self.y)
+            # log sigma and 1/sigma^2 when the noise variance is known
+            self.fixed_scale = None
+            if not model.infers_scale:
+                self.fixed_scale = (0.5 * math.log(lik.noise_var), 1.0 / lik.noise_var)
 
-        def target(theta: np.ndarray) -> float:
-            linpred = Xa @ theta
-            return float(y @ linpred - softplus_sum(linpred)) + subprior(theta)
+        normal = isinstance(model.prior, NormalPrior)
+        mean = model.coef_prior_mean() if normal else np.zeros(0)
+        cov = model.coef_prior_cov() if normal else np.zeros((0, 0))
+        self.laplace_scale = None if normal else model.prior.scale * S
+        if model.infers_scale:
+            mean = np.append(mean, lik.logsigma_mean)
+            cov = block_diag(cov, lik.logsigma_sd**2)
+        k = mean.shape[0]
+        d = model.theta_dim
+        self.gauss = slice(d - k, d)
+        self.prior_mean = mean
+        L = chol_spd(cov, what="prior covariance")
+        l_inv = solve_triangular(L, np.eye(k), lower=True)
+        prec = l_inv.T @ l_inv / S
+        self.prior_prec = 0.5 * (prec + prec.T)
+        # whitening factor S^-1/2 L^-1, so the Gaussian block costs one mat-vec
+        self._white = l_inv / math.sqrt(S)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        self._prior_const = -0.5 * (k * LOG_2PI + k * math.log(S) + logdet)
+        if self.laplace_scale is not None:
+            self._prior_const -= self.n_coef * math.log(2.0 * self.laplace_scale)
 
-        return target
+    def _log_subprior(self, theta: np.ndarray) -> float:
+        """Normalized fractionated prior, equal to models.log_subprior."""
+        half = self._white @ (theta[self.gauss] - self.prior_mean)
+        out = self._prior_const - 0.5 * float(half @ half)
+        if self.laplace_scale is not None:
+            out -= float(np.abs(theta[: self.n_coef]).sum()) / self.laplace_scale
+        return out
 
-    gram = Xa.T @ Xa
-    xty = Xa.T @ y
-    yty = float(y @ y)
+    def _scale(self, theta: np.ndarray):
+        """Coefficients, log sigma and 1/sigma^2 of a linear likelihood."""
+        if self.fixed_scale is None:
+            ls = theta[-1]
+            return theta[:-1], ls, math.exp(-2.0 * ls)
+        return (theta,) + self.fixed_scale
 
-    if isinstance(lik, LinearKnownVar):
-        const = -0.5 * n * (LOG_2PI + math.log(lik.noise_var))
-        inv_var = 1.0 / lik.noise_var
+    def _rss(self, coef: np.ndarray) -> float:
+        rss = self.yty - 2.0 * float(coef @ self.xty) + float(coef @ self.gram @ coef)
+        return max(rss, 0.0)
 
-        def target(theta: np.ndarray) -> float:
-            rss = yty - 2.0 * float(theta @ xty) + float(theta @ gram @ theta)
-            return const - 0.5 * max(rss, 0.0) * inv_var + subprior(theta)
+    def __call__(self, theta: np.ndarray) -> float:
+        if self.logistic:
+            linpred = self.X @ theta
+            return float(self.y @ linpred - softplus_sum(linpred)) + self._log_subprior(theta)
+        coef, ls, w = self._scale(theta)
+        loglik = -0.5 * self.n * LOG_2PI - self.n * ls - 0.5 * self._rss(coef) * w
+        return loglik + self._log_subprior(theta)
 
-        return target
+    def neg_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Minus the log density up to a constant, and its gradient."""
+        theta = np.asarray(theta, dtype=float)
+        nc = self.n_coef
+        grad = np.empty_like(theta)
+        if self.logistic:
+            linpred = self.X @ theta
+            val = float(softplus_sum(linpred) - self.y @ linpred)
+            grad[:nc] = -(self.X.T @ (self.y - expit(linpred)))
+        else:
+            coef, ls, w = self._scale(theta)
+            rss = self._rss(coef)
+            val = self.n * ls + 0.5 * rss * w
+            grad[:nc] = -(self.xty - self.gram @ coef) * w
+            if self.fixed_scale is None:
+                grad[-1] = self.n - rss * w
+        diff = theta[self.gauss] - self.prior_mean
+        g = self.prior_prec @ diff
+        val += 0.5 * float(diff @ g)
+        grad[self.gauss] += g
+        if self.laplace_scale is not None:
+            coef = theta[:nc]
+            val += float(np.abs(coef).sum()) / self.laplace_scale
+            grad[:nc] += np.sign(coef) / self.laplace_scale
+        return val, grad
 
-    const = -0.5 * n * LOG_2PI
+    def neg_hessian(self, theta: np.ndarray) -> np.ndarray:
+        """Minus the Hessian of the log density; the Laplace block adds nothing."""
+        theta = np.asarray(theta, dtype=float)
+        nc = self.n_coef
+        hess = np.zeros((theta.shape[0],) * 2)
+        if self.logistic:
+            prob = expit(self.X @ theta)
+            w = prob * (1.0 - prob)
+            hess[:nc, :nc] = self.X.T @ (self.X * w[:, None])
+        else:
+            coef, ls, w = self._scale(theta)
+            hess[:nc, :nc] = self.gram * w
+            if self.fixed_scale is None:
+                cross = 2.0 * (self.xty - self.gram @ coef) * w
+                hess[:nc, -1] = cross
+                hess[-1, :nc] = cross
+                hess[-1, -1] = 2.0 * self._rss(coef) * w
+        hess[self.gauss, self.gauss] += self.prior_prec
+        return 0.5 * (hess + hess.T)
 
-    def target(theta: np.ndarray) -> float:
-        coef = theta[:-1]
-        ls = theta[-1]
-        rss = yty - 2.0 * float(coef @ xty) + float(coef @ gram @ coef)
-        return const - n * ls - 0.5 * max(rss, 0.0) * math.exp(-2.0 * ls) + subprior(theta)
 
-    return target
+def subposterior_closure(model: ModelSpec, shard: Shard, n_splits: int) -> SubposteriorDensity:
+    """The shard's subposterior density, a callable log density of theta."""
+    return SubposteriorDensity(model, shard, n_splits)
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +492,17 @@ def pg_gibbs_logistic(
     if not 0 <= burn_in < n_iter:
         raise DomainError(f"need 0 <= burn_in < n_iter, got {burn_in}, {n_iter}")
 
-    Xa = design(model, shard)
-    y = shard.y
+    density = SubposteriorDensity(model, shard, n_splits)
+    Xa = density.X
+    prior_prec = density.prior_prec
     d = model.theta_dim
     rng = np.random.default_rng(seed)
-
-    m0 = model.coef_prior_mean()
-    V0 = model.coef_prior_cov()
-    L0 = chol_spd(V0, what="prior covariance")
-    prior_prec = cho_solve((L0, True), np.eye(d)) / n_splits
-    prior_prec = 0.5 * (prior_prec + prior_prec.T)
-    eta = Xa.T @ (y - 0.5) + prior_prec @ m0
+    eta = Xa.T @ (density.y - 0.5) + prior_prec @ density.prior_mean
 
     n_keep = n_iter - burn_in
     draws = np.empty((n_keep, d))
     precs = np.empty((n_keep, d, d))
-    theta = m0.copy()
+    theta = density.prior_mean.copy()
 
     for t in range(n_iter):
         linpred = Xa @ theta
@@ -514,8 +517,8 @@ def pg_gibbs_logistic(
                 f"conditional precision on shard {shard.shard_id} is not SPD",
                 min_eigenvalue=min_eig,
             ) from None
-        m = cho_solve((low, True), eta)
-        theta = m + solve_triangular(low.T, rng.standard_normal(d), lower=False)
+        # theta = lam^-1 eta + low^-T z with z ~ N(0, I)
+        theta = np.linalg.solve(low.T, np.linalg.solve(low, eta) + rng.standard_normal(d))
         if t >= burn_in:
             draws[t - burn_in] = theta
             precs[t - burn_in] = lam
@@ -579,116 +582,20 @@ def read_stream(path) -> ConditionalGaussianStream:
 # ---------------------------------------------------------------------------
 # Laplace fit of a subposterior (MAP + inverse curvature).
 
-def _neg_log_subpost_and_grad(model: ModelSpec, shard: Shard, n_splits: int):
-    Xa = design(model, shard)
-    y = shard.y
-    n = y.shape[0]
-    S = n_splits
-    lik = model.likelihood
-    prior = model.prior
-    n_coef = model.n_coef
-
-    if isinstance(prior, NormalPrior):
-        m0 = model.coef_prior_mean()
-        L0 = chol_spd(model.coef_prior_cov(), what="prior covariance")
-        prec0 = cho_solve((L0, True), np.eye(n_coef)) / S
-
-        def prior_terms(coef):
-            diff = coef - m0
-            g = prec0 @ diff
-            return 0.5 * float(diff @ g), g
-    else:
-        b_s = prior.scale * S
-
-        def prior_terms(coef):
-            return float(np.abs(coef).sum()) / b_s, np.sign(coef) / b_s
-
-    def fun(theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
-        if model.infers_scale:
-            coef, ls = theta[:-1], theta[-1]
-        else:
-            coef, ls = theta, None
-        grad = np.empty_like(theta)
-        if isinstance(lik, LogisticLikelihood):
-            linpred = Xa @ coef
-            val = float(softplus_sum(linpred) - y @ linpred)
-            grad_coef = -(Xa.T @ (y - expit(linpred)))
-        elif isinstance(lik, LinearKnownVar):
-            r = y - Xa @ coef
-            val = 0.5 * float(r @ r) / lik.noise_var
-            grad_coef = -(Xa.T @ r) / lik.noise_var
-        else:
-            r = y - Xa @ coef
-            w = math.exp(-2.0 * ls)
-            rss = float(r @ r)
-            val = n * ls + 0.5 * rss * w
-            grad_coef = -(Xa.T @ r) * w
-            grad[-1] = n - rss * w
-        pval, pgrad = prior_terms(coef)
-        val += pval
-        grad[: n_coef] = grad_coef + pgrad
-        if model.infers_scale:
-            lsig = lik.logsigma_mean, lik.logsigma_sd
-            val += 0.5 * (ls - lsig[0]) ** 2 / (S * lsig[1] ** 2)
-            grad[-1] += (ls - lsig[0]) / (S * lsig[1] ** 2)
-        return val, grad
-
-    return fun
-
-
-def _neg_hessian(model: ModelSpec, theta: np.ndarray, shard: Shard, n_splits: int):
-    Xa = design(model, shard)
-    y = shard.y
-    n = y.shape[0]
-    S = n_splits
-    lik = model.likelihood
-    d = model.theta_dim
-    hess = np.zeros((d, d))
-    if model.infers_scale:
-        coef, ls = theta[:-1], theta[-1]
-    else:
-        coef, ls = theta, None
-
-    if isinstance(lik, LogisticLikelihood):
-        prob = expit(Xa @ coef)
-        w = prob * (1.0 - prob)
-        hess[: model.n_coef, : model.n_coef] = Xa.T @ (Xa * w[:, None])
-    elif isinstance(lik, LinearKnownVar):
-        hess[: model.n_coef, : model.n_coef] = Xa.T @ Xa / lik.noise_var
-    else:
-        w = math.exp(-2.0 * ls)
-        r = y - Xa @ coef
-        hess[:-1, :-1] = Xa.T @ Xa * w
-        cross = 2.0 * (Xa.T @ r) * w
-        hess[:-1, -1] = cross
-        hess[-1, :-1] = cross
-        hess[-1, -1] = 2.0 * float(r @ r) * w
-    if isinstance(model.prior, NormalPrior):
-        L0 = chol_spd(model.coef_prior_cov(), what="prior covariance")
-        hess[: model.n_coef, : model.n_coef] += (
-            cho_solve((L0, True), np.eye(model.n_coef)) / S
-        )
-    if model.infers_scale:
-        hess[-1, -1] += 1.0 / (S * lik.logsigma_sd**2)
-    return 0.5 * (hess + hess.T)
-
-
 def laplace_fit(
     model: ModelSpec, shard: Shard, n_splits: int, init: Optional[np.ndarray] = None
 ) -> GaussianMoments:
     """Subposterior MAP and inverse curvature as Gaussian moments."""
-    fun = _neg_log_subpost_and_grad(model, shard, n_splits)
+    density = SubposteriorDensity(model, shard, n_splits)
     if init is None:
         init = np.zeros(model.theta_dim)
-        if isinstance(model.prior, NormalPrior):
-            init[: model.n_coef] = model.coef_prior_mean()
-        if model.infers_scale:
-            init[-1] = model.likelihood.logsigma_mean
-    res = minimize(fun, np.asarray(init, dtype=float), jac=True, method="L-BFGS-B")
+        init[density.gauss] = density.prior_mean
+    res = minimize(
+        density.neg_and_grad, np.asarray(init, dtype=float), jac=True, method="L-BFGS-B"
+    )
     if not np.all(np.isfinite(res.x)):
         raise EstimatorError("Laplace fit did not converge to a finite point")
-    hess = _neg_hessian(model, res.x, shard, n_splits)
+    hess = density.neg_hessian(res.x)
     low = chol_spd(hess + 1e-10 * np.eye(model.theta_dim), what="curvature")
     cov = cho_solve((low, True), np.eye(model.theta_dim))
     cov = 0.5 * (cov + cov.T)

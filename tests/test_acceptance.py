@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from oracle_utils import quad_log_product_of_normals_1d
+from oracle_utils import quad_log_product_of_normals_1d, sample_pg_truncated_vec
 
 from splitevidence import (
     GaussianMoments,
@@ -56,7 +56,7 @@ from splitevidence.models import (
     NormalPrior,
     log_alpha,
 )
-from splitevidence.samplers import pg_mean, sample_pg_truncated_vec, sample_pg_vec
+from splitevidence.samplers import pg_mean, sample_pg_vec
 
 
 def _report(label: str, detail: str) -> None:

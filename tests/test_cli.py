@@ -618,19 +618,29 @@ class TestErrorReporting:
         assert error["code"] == "E_INPUT"
         assert "nope.csv" in error["message"]
 
-    def test_chib_outside_conditional_mode(self, conjugate_fixture, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["run", "worker", "diagnose"])
+    def test_chib_outside_conditional_mode(
+        self, conjugate_fixture, tmp_path, capsys, command
+    ):
+        data = ["--data", conjugate_fixture["data"], "--model", conjugate_fixture["model"]]
+        if command == "run":
+            argv = ["run", *data]
+        elif command == "worker":
+            plan_path = str(tmp_path / "plan.json")
+            assert cli.main(
+                ["shard", "--data", conjugate_fixture["data"], "--splits", "2",
+                 "--out", plan_path]
+            ) == 0
+            argv = ["worker", *data, "--plan", plan_path, "--shard-id", "0"]
+        else:
+            argv = ["diagnose", "--scenario", "linear_conjugate", "--splits", "1"]
         code = cli.main(
-            [
-                "run",
-                "--data", conjugate_fixture["data"],
-                "--model", conjugate_fixture["model"],
-                "--mode", "approx",
-                "--evidence", "chib",
-                "--out", str(tmp_path / "out"),
-            ]
+            argv + ["--mode", "approx", "--evidence", "chib", "--out", str(tmp_path / "out")]
         )
         assert code != 0
-        assert _read_error(capsys)["code"] == "E_INPUT"
+        error = _read_error(capsys)
+        assert error["code"] == "E_INPUT"
+        assert "chib" in error["message"]
 
     def test_samples_must_exceed_burn_in(self, conjugate_fixture, tmp_path, capsys):
         code = cli.main(

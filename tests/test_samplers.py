@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracle_utils import sample_pg_truncated, sample_pg_truncated_vec
 from splitevidence import (
     ConfigurationError,
     Dataset,
@@ -23,8 +24,8 @@ from splitevidence import (
 from splitevidence.models import Shard
 from splitevidence.samplers import (
     Chain,
-    _neg_log_subpost_and_grad,
     ConditionalGaussianStream,
+    SubposteriorDensity,
     chain_moments,
     laplace_fit,
     pg_gibbs_logistic,
@@ -32,8 +33,6 @@ from splitevidence.samplers import (
     read_stream,
     rwmh_chain,
     sample_pg,
-    sample_pg_truncated,
-    sample_pg_truncated_vec,
     sample_pg_vec,
     subposterior_closure,
     write_stream,
@@ -358,31 +357,51 @@ class TestSubposteriorClosure:
                         )
 
 
+LIKELIHOODS = [
+    pytest.param(LogisticLikelihood(), id="logistic"),
+    pytest.param(LinearKnownVar(noise_var=1.7), id="known_var"),
+    pytest.param(LinearLogNormalVar(logsigma_mean=0.1, logsigma_sd=0.8), id="lognormal"),
+]
+
+
+def objective_problem(lik, prior_kind, rng, active=None):
+    """Model and shard for checks of the L-BFGS objective and its Hessian."""
+    n, p = 80, 3
+    X = rng.normal(size=(n, p))
+    if isinstance(lik, LogisticLikelihood):
+        y = (rng.random(n) < 0.5).astype(float)
+    else:
+        y = X @ rng.normal(size=p) + rng.normal(size=n)
+    a = rng.normal(size=(p, p))
+    prior = (
+        NormalPrior(mean=rng.normal(size=p), cov=a @ a.T + 0.5 * np.eye(p))
+        if prior_kind == "normal"
+        else LaplacePrior(scale=0.9)
+    )
+    model = ModelSpec(
+        model_id="m", likelihood=lik, prior=prior, dim=p, active_features=active
+    )
+    return model, whole_shard(Dataset(X=X, y=y))
+
+
 class TestNegLogSubposteriorObjective:
     @pytest.mark.parametrize("prior_kind", ["normal", "laplace"])
-    def test_logistic_gradient_matches_finite_differences(self, prior_kind):
+    @pytest.mark.parametrize("lik", LIKELIHOODS)
+    def test_gradient_matches_fd(self, lik, prior_kind):
+        """Finite-difference gradient; the objective is minus the reference."""
         rng = np.random.default_rng(31)
-        n, p = 80, 3
-        X = rng.normal(size=(n, p))
-        y = (rng.random(n) < 0.5).astype(float)
-        a = rng.normal(size=(p, p))
-        prior = (
-            NormalPrior(mean=rng.normal(size=p), cov=a @ a.T + 0.5 * np.eye(p))
-            if prior_kind == "normal"
-            else LaplacePrior(scale=0.9)
-        )
-        model = ModelSpec(model_id="m", likelihood=LogisticLikelihood(), prior=prior, dim=p)
-        shard = whole_shard(Dataset(X=X, y=y))
+        model, shard = objective_problem(lik, prior_kind, rng)
         n_splits = 4
-        fun = _neg_log_subpost_and_grad(model, shard, n_splits)
+        d = model.theta_dim
+        fun = SubposteriorDensity(model, shard, n_splits).neg_and_grad
         h = 1e-6
-        theta0 = rng.normal(size=p)
+        theta0 = rng.normal(size=d)
         for _ in range(4):
-            theta = rng.normal(size=p)
+            theta = rng.normal(size=d)
             val, grad = fun(theta)
-            fd = np.empty(p)
-            for j in range(p):
-                step = np.zeros(p)
+            fd = np.empty(d)
+            for j in range(d):
+                step = np.zeros(d)
                 step[j] = h
                 fd[j] = (fun(theta + step)[0] - fun(theta - step)[0]) / (2.0 * h)
             np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
@@ -394,6 +413,42 @@ class TestNegLogSubposteriorObjective:
                 rtol=1e-9,
                 atol=1e-9,
             )
+
+    @pytest.mark.parametrize("n_splits", [1, 4])
+    @pytest.mark.parametrize("prior_kind", ["normal", "laplace"])
+    @pytest.mark.parametrize("lik", LIKELIHOODS)
+    @pytest.mark.parametrize("active", [None, (0, 2)], ids=["all", "sub"])
+    def test_hessian_matches_fd(self, active, lik, prior_kind, n_splits):
+        """neg_hessian against central differences of the gradient."""
+        rng = np.random.default_rng(32)
+        model, shard = objective_problem(lik, prior_kind, rng, active)
+        density = SubposteriorDensity(model, shard, n_splits)
+        d = model.theta_dim
+        h = 1e-5
+        for _ in range(3):
+            # away from zero, where the Laplace block's gradient jumps
+            theta = rng.normal(size=d)
+            theta[: model.n_coef] += np.where(theta[: model.n_coef] < 0, -0.1, 0.1)
+            fd = np.empty((d, d))
+            for j in range(d):
+                step = np.zeros(d)
+                step[j] = h
+                fd[:, j] = (
+                    density.neg_and_grad(theta + step)[1]
+                    - density.neg_and_grad(theta - step)[1]
+                ) / (2.0 * h)
+            hess = density.neg_hessian(theta)
+            np.testing.assert_array_equal(hess, hess.T)
+            np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-5)
+
+    def test_known_var_hessian_is_closed_form(self):
+        rng = np.random.default_rng(33)
+        noise_var = 1.7
+        model, shard = objective_problem(LinearKnownVar(noise_var=noise_var), "normal", rng)
+        n_splits = 4
+        hess = SubposteriorDensity(model, shard, n_splits).neg_hessian(rng.normal(size=3))
+        expected = shard.X.T @ shard.X / noise_var + np.linalg.inv(model.prior.cov) / n_splits
+        np.testing.assert_allclose(hess, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestLaplaceFit:
