@@ -311,7 +311,7 @@ def _cmd_worker(args) -> int:
         stream_path = os.path.join(
             os.path.dirname(os.path.abspath(args.out)), f"cond_{args.shard_id}.ndjson"
         )
-    shard = plan.shards(data)[args.shard_id]
+    shard = plan.shard(data, args.shard_id)
     task = cluster.WorkerTask(
         shard=shard,
         model=models[0],

@@ -390,13 +390,20 @@ def run_cluster(
 
 def _resolve_stream(result: WorkerResult) -> ConditionalGaussianStream:
     if result.stream is not None:
-        return result.stream
-    if result.conditional_stream_path is not None:
-        return read_stream(result.conditional_stream_path)
-    raise WorkerError(
-        f"shard {result.shard_id}: conditional combination needs a stream, "
-        "but the result carries neither an in-memory stream nor a file path"
-    )
+        stream = result.stream
+    elif result.conditional_stream_path is not None:
+        stream = read_stream(result.conditional_stream_path)
+    else:
+        raise WorkerError(
+            f"shard {result.shard_id}: conditional combination needs a stream, "
+            "but the result carries neither an in-memory stream nor a file path"
+        )
+    if (stream.n_records, stream.dim) != (result.n_samples, result.dim):
+        raise DecodeError(
+            f"shard {result.shard_id}: stream holds {stream.n_records} draws of dimension "
+            f"{stream.dim}, the result reports {result.n_samples} of dimension {result.dim}"
+        )
+    return stream
 
 
 def combine_worker_results(

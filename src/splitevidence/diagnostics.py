@@ -27,10 +27,8 @@ from .models import (
     NormalPrior,
     Shard,
     design,
-    log_likelihood_batch,
-    log_subprior_batch,
 )
-from .samplers import laplace_fit
+from .samplers import SubposteriorDensity, laplace_fit
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -195,12 +193,7 @@ def quadrature_subposterior_summary(
     sd = np.sqrt(np.diag(fit.cov))
     lo = fit.mean - n_widths * sd
     hi = fit.mean + n_widths * sd
-
-    def log_f(pts):
-        return log_likelihood_batch(model, pts, shard) + log_subprior_batch(
-            model, pts, n_splits
-        )
-
+    log_f = SubposteriorDensity(model, shard, n_splits).logpdf_batch
     log_norm, pts, logw = _refined_log_integral(
         log_f, lo, hi, rel_tol, "subposterior normalizer"
     )
@@ -242,14 +235,12 @@ def quadrature_isub_oracle(
     lo = pooled.mean - n_widths * sd
     hi = pooled.mean + n_widths * sd
 
+    densities = [SubposteriorDensity(model, shard, n_splits) for shard in shards]
+
     def log_f(pts):
         total = np.zeros(pts.shape[0])
-        for shard, log_norm in zip(shards, log_norms):
-            total += (
-                log_likelihood_batch(model, pts, shard)
-                + log_subprior_batch(model, pts, n_splits)
-                - log_norm
-            )
+        for density, log_norm in zip(densities, log_norms):
+            total += density.logpdf_batch(pts) - log_norm
         return total
 
     val, _, _ = _refined_log_integral(log_f, lo, hi, rel_tol, "subposterior overlap")

@@ -28,15 +28,8 @@ from .gaussian import (
     chol_spd,
     log_gaussian_product_integral,
 )
-from .models import (
-    ModelSpec,
-    Shard,
-    log_likelihood,
-    log_likelihood_batch,
-    log_subprior,
-    log_subprior_batch,
-)
-from .samplers import Chain, ConditionalGaussianStream
+from .models import ModelSpec, Shard
+from .samplers import Chain, ConditionalGaussianStream, SubposteriorDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -120,11 +113,7 @@ def chib_log_evidence(
     log_cond = stream.eta @ theta_star - 0.5 * quad + xis
     log_ordinate, se = _logmeanexp_with_se(log_cond)
 
-    log_ev = (
-        log_subprior(model, theta_star, n_splits)
-        + log_likelihood(model, theta_star, shard)
-        - log_ordinate
-    )
+    log_ev = SubposteriorDensity(model, shard, n_splits)(theta_star) - log_ordinate
     return EvidenceEstimate(
         log_value=float(log_ev),
         mc_std_err=se,
@@ -163,11 +152,7 @@ def importance_log_evidence(
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     log_q = -0.5 * (d * LOG_2PI + logdet + np.einsum("md,md->m", z, z))
 
-    log_w = (
-        log_likelihood_batch(model, thetas, shard)
-        + log_subprior_batch(model, thetas, n_splits)
-        - log_q
-    )
+    log_w = SubposteriorDensity(model, shard, n_splits).logpdf_batch(thetas) - log_q
     if np.any(np.isnan(log_w)):
         raise EstimatorError("importance weights contain NaN")
     log_ev, se = _logmeanexp_with_se(log_w)
@@ -204,12 +189,8 @@ def laplace_metropolis_log_evidence(
         )
     low = moments.chol()
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    log_ev = (
-        0.5 * d * LOG_2PI
-        + 0.5 * logdet
-        + log_likelihood(model, moments.mean, shard)
-        + log_subprior(model, moments.mean, n_splits)
-    )
+    density = SubposteriorDensity(model, shard, n_splits)
+    log_ev = 0.5 * d * LOG_2PI + 0.5 * logdet + density(moments.mean)
     return EvidenceEstimate(
         log_value=float(log_ev),
         mc_std_err=None,

@@ -1,10 +1,13 @@
 """Likelihoods, priors and fractionated priors.
 
-Every density evaluated anywhere in the package goes through this module and
-is computed in the log domain.  A model couples one likelihood
-(logistic, linear regression with known noise variance, or linear regression
-with a log-normal prior on the noise scale) with one prior family on the
-coefficients (multivariate normal or iid Laplace centred at zero).
+This module defines the model, dataset and shard types and their wire
+formats, and holds the slow scalar reference of every density, computed in
+the log domain.  Samplers and estimators evaluate the shard density through
+``samplers.SubposteriorDensity``; the tests compare it against the reference
+here.  A model couples one likelihood (logistic, linear regression with
+known noise variance, or linear regression with a log-normal prior on the
+noise scale) with one prior family on the coefficients (multivariate normal
+or iid Laplace centred at zero).
 
 When a dataset is split into S shards each shard works with the fractionated
 prior p(theta)^(1/S) / alpha, where alpha = integral of p(theta)^(1/S).
@@ -25,14 +28,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigurationError, DomainError
 from .gaussian import chol_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-_BATCH_ROWS = 2_000_000  # cap on rows x draws handled in one likelihood block
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,8 @@ def design(model: ModelSpec, data: Union[Dataset, Shard]) -> np.ndarray:
 def softplus_sum(linpred: np.ndarray, axis: Optional[int] = None):
     """Logistic log-partition: the sum of log(1 + exp(x)) over ``axis``.
 
-    Every hot path of the logistic density (the batched likelihood and
-    ``samplers.SubposteriorDensity``) goes through this kernel;
+    Every hot path of the logistic density (``samplers.SubposteriorDensity``,
+    one theta or a batch) goes through this kernel;
     ``log_likelihood`` keeps ``np.logaddexp`` as the independent reference.
     It is computed as sum max(x, 0) + sum log1p(exp(-|x|)), with the first
     term taken as (sum x + sum |x|) / 2, so the only temporary is one buffer
@@ -296,69 +296,22 @@ def log_likelihood(model: ModelSpec, theta: np.ndarray, data: Union[Dataset, Sha
     return -0.5 * n * LOG_2PI - n * ls - 0.5 * rss * math.exp(-2.0 * ls)
 
 
-def log_likelihood_batch(
-    model: ModelSpec, thetas: np.ndarray, data: Union[Dataset, Shard]
-) -> np.ndarray:
-    """log likelihood for a stack of parameter vectors, shape (M, theta_dim)."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    coefs, logsigma = _split_theta(model, thetas)
-    Xa = design(model, data)
-    y = data.y
-    n = y.shape[0]
-    lik = model.likelihood
-    if isinstance(lik, LogisticLikelihood):
-        out = np.empty(thetas.shape[0])
-        step = max(1, _BATCH_ROWS // max(n, 1))
-        for lo in range(0, thetas.shape[0], step):
-            hi = min(lo + step, thetas.shape[0])
-            linpred = Xa @ coefs[lo:hi].T
-            out[lo:hi] = y @ linpred - softplus_sum(linpred, axis=0)
-        return out
-    # Linear models reduce to the Gram matrix, independent of n per draw.
-    gram = Xa.T @ Xa
-    xty = Xa.T @ y
-    yty = float(y @ y)
-    rss = yty - 2.0 * coefs @ xty + np.einsum("mi,ij,mj->m", coefs, gram, coefs)
-    rss = np.maximum(rss, 0.0)
-    if isinstance(lik, LinearKnownVar):
-        return -0.5 * n * (LOG_2PI + math.log(lik.noise_var)) - 0.5 * rss / lik.noise_var
-    ls = logsigma
-    return -0.5 * n * LOG_2PI - n * ls - 0.5 * rss * np.exp(-2.0 * ls)
-
-
-def _coef_log_prior_batch(model: ModelSpec, coefs: np.ndarray) -> np.ndarray:
+def log_prior(model: ModelSpec, theta: np.ndarray) -> float:
+    coefs, logsigma = _split_theta(model, theta)
+    d = model.n_coef
     prior = model.prior
     if isinstance(prior, NormalPrior):
-        mean = model.coef_prior_mean()
-        cov = model.coef_prior_cov()
-        if model.n_coef == 0:
-            return np.zeros(coefs.shape[0])
-        L = chol_spd(cov, what="prior covariance")
-        diff = coefs - mean
-        half = solve_triangular(L, diff.T, lower=True).T
+        L = chol_spd(model.coef_prior_cov(), what="prior covariance")
+        half = np.linalg.solve(L, coefs - model.coef_prior_mean())
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        quad = np.einsum("mi,mi->m", half, half)
-        return -0.5 * (model.n_coef * LOG_2PI + logdet + quad)
-    scale = prior.scale
-    return -model.n_coef * math.log(2.0 * scale) - np.abs(coefs).sum(axis=1) / scale
-
-
-def log_prior_batch(model: ModelSpec, thetas: np.ndarray) -> np.ndarray:
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    coefs, logsigma = _split_theta(model, thetas)
-    out = _coef_log_prior_batch(model, coefs)
+        out = -0.5 * (d * LOG_2PI + logdet + float(half @ half))
+    else:
+        out = -d * math.log(2.0 * prior.scale) - float(np.abs(coefs).sum()) / prior.scale
     if model.infers_scale:
         lik = model.likelihood
-        out = out - 0.5 * (
-            LOG_2PI
-            + 2.0 * math.log(lik.logsigma_sd)
-            + ((logsigma - lik.logsigma_mean) / lik.logsigma_sd) ** 2
-        )
+        z = (float(logsigma) - lik.logsigma_mean) / lik.logsigma_sd
+        out -= 0.5 * (LOG_2PI + 2.0 * math.log(lik.logsigma_sd) + z * z)
     return out
-
-
-def log_prior(model: ModelSpec, theta: np.ndarray) -> float:
-    return float(log_prior_batch(model, np.atleast_2d(theta))[0])
 
 
 def log_alpha(model: ModelSpec, n_splits: int) -> float:
@@ -391,13 +344,9 @@ def log_alpha(model: ModelSpec, n_splits: int) -> float:
     return total
 
 
-def log_subprior_batch(model: ModelSpec, thetas: np.ndarray, n_splits: int) -> np.ndarray:
-    """Normalized fractionated prior log density, batched."""
-    return log_prior_batch(model, thetas) / n_splits - log_alpha(model, n_splits)
-
-
 def log_subprior(model: ModelSpec, theta: np.ndarray, n_splits: int) -> float:
-    return float(log_subprior_batch(model, np.atleast_2d(theta), n_splits)[0])
+    """Normalized fractionated prior log density."""
+    return log_prior(model, theta) / n_splits - log_alpha(model, n_splits)
 
 
 def log_subposterior_unnorm(

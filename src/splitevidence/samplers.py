@@ -1,11 +1,13 @@
 """Per-shard subposterior density and samplers: Polya-Gamma draws, RWMH, PG-Gibbs.
 
 ``SubposteriorDensity`` is the one place the shard density (likelihood
-times the fractionated prior p(theta)^(1/S) / alpha) is defined and tuned.
-It is built once per (model, shard, S) and serves the random-walk and
+times the fractionated prior p(theta)^(1/S) / alpha) is defined and tuned;
+``models`` keeps only the slow reference the tests compare against.  It is
+built once per (model, shard, S) and serves the random-walk and
 reversible-jump target, the L-BFGS objective and Hessian of the Laplace
-fit, and the prior block of PG-Gibbs; its logistic likelihood runs through
-the ``models.softplus_sum`` kernel.
+fit, the prior block of PG-Gibbs, and the evidence estimators and
+quadrature oracles; its logistic likelihood runs through the
+``models.softplus_sum`` kernel.
 
 Two samplers produce subposterior draws.  A generic random-walk Metropolis
 chain works for every likelihood/prior pair; for logistic likelihoods with a
@@ -52,6 +54,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 _TRUNC = 0.64  # split point between the two proposal tails
 _MAX_SERIES_TERMS = 1000
+_BATCH_ROWS = 2_000_000  # cap on rows x draws handled in one likelihood block
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +228,10 @@ class SubposteriorDensity:
     """log p(y_s | theta) + (1/S) log p(theta) - log alpha for one shard.
 
     Built once per (model, shard, S); equals models.log_subposterior_unnorm.
-    Calling it gives the log density, the random-walk and reversible-jump
-    target; ``neg_and_grad`` and ``neg_hessian`` give the L-BFGS objective
-    and its curvature.
+    Calling it on one theta gives the log density, the random-walk and
+    reversible-jump target; ``logpdf_batch`` evaluates a stack of thetas for
+    the evidence estimators; ``neg_and_grad`` and ``neg_hessian`` give the
+    L-BFGS objective and its curvature.
 
     The fractionated prior has at most two blocks: a Gaussian block on the
     trailing coordinates ``gauss`` (all of theta under a normal prior, log
@@ -304,6 +308,31 @@ class SubposteriorDensity:
         coef, ls, w = self._scale(theta)
         loglik = -0.5 * self.n * LOG_2PI - self.n * ls - 0.5 * self._rss(coef) * w
         return loglik + self._log_subprior(theta)
+
+    def logpdf_batch(self, thetas: np.ndarray) -> np.ndarray:
+        """The log density at each row of ``thetas``, shape (M, theta_dim) -> (M,)."""
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        if self.logistic:
+            out = np.empty(thetas.shape[0])
+            step = max(1, _BATCH_ROWS // self.n)
+            for lo in range(0, thetas.shape[0], step):
+                linpred = self.X @ thetas[lo : lo + step].T
+                out[lo : lo + step] = self.y @ linpred - softplus_sum(linpred, axis=0)
+        else:
+            coef = thetas[:, : self.n_coef]
+            quad = np.einsum("mi,ij,mj->m", coef, self.gram, coef)
+            rss = np.maximum(self.yty - 2.0 * coef @ self.xty + quad, 0.0)
+            if self.fixed_scale is None:
+                ls = thetas[:, -1]
+                w = np.exp(-2.0 * ls)
+            else:
+                ls, w = self.fixed_scale
+            out = -0.5 * self.n * LOG_2PI - self.n * ls - 0.5 * rss * w
+        half = (thetas[:, self.gauss] - self.prior_mean) @ self._white.T
+        out += self._prior_const - 0.5 * np.einsum("mi,mi->m", half, half)
+        if self.laplace_scale is not None:
+            out -= np.abs(thetas[:, : self.n_coef]).sum(axis=1) / self.laplace_scale
+        return out
 
     def neg_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
         """Minus the log density up to a constant, and its gradient."""

@@ -63,14 +63,16 @@ class ShardPlan:
             raise DomainError(f"shard id {shard_id} out of range")
         return np.flatnonzero(self.assignment == shard_id)
 
-    def shards(self, data: Dataset) -> List[Shard]:
+    def shard(self, data: Dataset, shard_id: int) -> Shard:
+        """The rows of ``data`` that shard ``shard_id`` holds."""
         if data.X.shape[0] != self.n_rows:
             raise DomainError(
                 f"plan covers {self.n_rows} rows, dataset has {data.X.shape[0]}"
             )
-        return [
-            Shard(data, self.shard_rows(s), shard_id=s) for s in range(self.n_splits)
-        ]
+        return Shard(data, self.shard_rows(shard_id), shard_id=shard_id)
+
+    def shards(self, data: Dataset) -> List[Shard]:
+        return [self.shard(data, s) for s in range(self.n_splits)]
 
 
 def uniform_split(n_rows: int, n_splits: int, seed: int = 0) -> ShardPlan:

@@ -642,6 +642,41 @@ class TestErrorReporting:
         assert error["code"] == "E_INPUT"
         assert "chib" in error["message"]
 
+    def test_truncated_stream_rejected(self, logistic_fixture, tmp_path, capsys):
+        plan_path = str(tmp_path / "plan.json")
+        data = ["--data", logistic_fixture["data"], "--model", logistic_fixture["model"]]
+        assert cli.main(
+            ["shard", "--data", logistic_fixture["data"], "--splits", "2", "--out", plan_path]
+        ) == 0
+        results = []
+        for sid in range(2):
+            results.append(str(tmp_path / f"result_{sid}.json"))
+            assert cli.main(
+                [
+                    "worker", *data,
+                    "--plan", plan_path,
+                    "--shard-id", str(sid),
+                    "--mode", "conditional",
+                    "--samples", "300",
+                    "--burn-in", "50",
+                    "--out", results[-1],
+                ]
+            ) == 0
+        # keep the header and the first 100 of 250 records
+        stream = tmp_path / "cond_1.ndjson"
+        lines = stream.read_text().splitlines(keepends=True)
+        stream.write_text("".join(lines[:101]))
+        code = cli.main(
+            ["combine", "--model", logistic_fixture["model"], "--results", *results,
+             "--out", str(tmp_path / "evidence.json")]
+        )
+        assert code == 1
+        error = _read_error(capsys)
+        assert error["code"] == "E_INPUT"
+        assert "shard 1" in error["message"]
+        assert "100" in error["message"] and "250" in error["message"]
+        assert not (tmp_path / "evidence.json").exists()
+
     def test_samples_must_exceed_burn_in(self, conjugate_fixture, tmp_path, capsys):
         code = cli.main(
             [

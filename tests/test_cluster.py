@@ -34,6 +34,7 @@ from splitevidence.cluster import (
     write_worker_result,
 )
 from splitevidence.diagnostics import quadrature_subposterior_summary
+from splitevidence.samplers import ConditionalGaussianStream
 from splitevidence.sharding import uniform_split
 
 
@@ -332,6 +333,21 @@ class TestRunCluster:
         )
         with pytest.raises(WorkerError, match="stream"):
             combine_worker_results(model, [result], conditional=True)
+
+    @pytest.mark.parametrize("n_records, dim", [(99, 2), (100, 3)])
+    def test_stream_must_match_its_result(self, n_records, dim):
+        stream = ConditionalGaussianStream(
+            eta=np.zeros(dim), precisions=np.broadcast_to(np.eye(dim), (n_records, dim, dim))
+        )
+        result = _result_fixture(n_splits=1, evidence_method="chib", stream=stream)
+        model = ModelSpec(
+            model_id="m1",
+            likelihood=LogisticLikelihood(),
+            prior=NormalPrior(mean=np.zeros(2), cov=np.eye(2)),
+            dim=2,
+        )
+        with pytest.raises(DecodeError, match=f"{n_records} draws of dimension {dim}"):
+            combine_worker_results(model, [result])
 
 
 class TestCanonicalSerialization:

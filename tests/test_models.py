@@ -34,13 +34,9 @@ from splitevidence import (
     save_csv,
     whole_shard,
 )
-from splitevidence import models as models_module
-from splitevidence.models import (
-    check_compatible,
-    log_likelihood_batch,
-    log_prior_batch,
-    softplus_sum,
-)
+from splitevidence import samplers as samplers_module
+from splitevidence.models import check_compatible, softplus_sum
+from splitevidence.samplers import SubposteriorDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -239,39 +235,47 @@ class TestLikelihoods:
             rtol=1e-12,
         )
 
-    def test_batch_matches_scalar(self):
+    @pytest.mark.parametrize("block_rows", [None, 60], ids=["one_block", "blocks"])
+    @pytest.mark.parametrize("n_splits", [1, 4])
+    @pytest.mark.parametrize("prior_kind", ["normal", "laplace"])
+    @pytest.mark.parametrize(
+        "lik",
+        [
+            LogisticLikelihood(),
+            LinearKnownVar(noise_var=1.3),
+            LinearLogNormalVar(logsigma_mean=0.1, logsigma_sd=0.7),
+        ],
+        ids=["logistic", "known_var", "lognormal"],
+    )
+    @pytest.mark.parametrize("active", [None, (0, 2), ()], ids=["all", "sub", "none"])
+    def test_logpdf_batch_matches_reference(
+        self, active, lik, prior_kind, n_splits, block_rows, monkeypatch
+    ):
         rng = np.random.default_rng(5)
-        X = rng.normal(size=(30, 3))
-        data_lin = Dataset(X=X, y=rng.normal(size=30))
-        data_log = Dataset(X=X, y=(rng.random(30) < 0.5).astype(float))
-        specs = [
-            normal_model(np.zeros(3), np.eye(3), likelihood=LinearKnownVar(noise_var=1.3)),
-            normal_model(np.zeros(3), np.eye(3), likelihood=LogisticLikelihood()),
-            normal_model(
-                np.zeros(3), np.eye(3),
-                likelihood=LinearLogNormalVar(logsigma_mean=0.1, logsigma_sd=0.7),
-            ),
-        ]
-        for model, data in zip(specs, (data_lin, data_log, data_lin)):
-            thetas = rng.normal(size=(7, model.theta_dim))
-            batch = log_likelihood_batch(model, thetas, data)
-            scalar = [log_likelihood(model, t, data) for t in thetas]
-            np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=1e-9)
-            pbatch = log_prior_batch(model, thetas)
-            pscalar = [log_prior(model, t) for t in thetas]
-            np.testing.assert_allclose(pbatch, pscalar, rtol=1e-12)
-
-    def test_logistic_batch_across_blocks_matches_scalar(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(30, 3))
-        data = Dataset(X=X, y=(rng.random(30) < 0.5).astype(float))
-        model = normal_model(np.zeros(3), np.eye(3), likelihood=LogisticLikelihood())
-        # 60 rows x draws per block: 2 draws of 30 rows, so 7 draws take 4 blocks
-        monkeypatch.setattr(models_module, "_BATCH_ROWS", 60)
-        thetas = 3.0 * rng.normal(size=(7, 3))
-        batch = log_likelihood_batch(model, thetas, data)
-        scalar = [log_likelihood(model, t, data) for t in thetas]
-        np.testing.assert_allclose(batch, scalar, rtol=1e-9, atol=1e-9)
+        n, p = 30, 3
+        X = rng.normal(size=(n, p))
+        if isinstance(lik, LogisticLikelihood):
+            y = (rng.random(n) < 0.5).astype(float)
+        else:
+            y = rng.normal(size=n)
+        a = rng.normal(size=(p, p))
+        prior = (
+            NormalPrior(mean=rng.normal(size=p), cov=a @ a.T + 0.5 * np.eye(p))
+            if prior_kind == "normal"
+            else LaplacePrior(scale=0.9)
+        )
+        model = ModelSpec(
+            model_id="m", likelihood=lik, prior=prior, dim=p, active_features=active
+        )
+        if block_rows is not None:
+            # 60 rows x draws per block: 2 draws of 30 rows, so 7 draws take 4 blocks
+            monkeypatch.setattr(samplers_module, "_BATCH_ROWS", block_rows)
+        shard = whole_shard(Dataset(X=X, y=y))
+        thetas = 3.0 * rng.normal(size=(7, model.theta_dim))
+        got = SubposteriorDensity(model, shard, n_splits).logpdf_batch(thetas)
+        ref = [log_subposterior_unnorm(model, t, shard, n_splits) for t in thetas]
+        assert got.shape == (7,)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
 
     def test_active_features_subset_columns(self):
         rng = np.random.default_rng(6)

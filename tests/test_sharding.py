@@ -236,6 +236,20 @@ class TestShardPlanType:
             plan.shards(data)
 
 
+    def test_one_shard_matches_all_shards(self):
+        rng = np.random.default_rng(2)
+        data = Dataset(X=rng.standard_normal((11, 2)), y=rng.standard_normal(11))
+        plan = uniform_split(11, 3, seed=4)
+        for i, expected in enumerate(plan.shards(data)):
+            got = plan.shard(data, i)
+            assert got.shard_id == expected.shard_id == i
+            assert np.array_equal(got.rows, expected.rows)
+            assert np.array_equal(got.X, expected.X)
+            assert np.array_equal(got.y, expected.y)
+        short = Dataset(X=data.X[:10], y=data.y[:10])
+        with pytest.raises(DomainError, match="plan covers 11 rows, dataset has 10"):
+            plan.shard(short, 0)
+
 class TestPlanJson:
     def test_round_trip(self):
         rng = np.random.default_rng(1)
