@@ -24,23 +24,14 @@ from splitevidence.diagnostics import error_table_metrics
 
 def run_once(data, model, n_splits, mode, rep, args):
     plan = uniform_split(data.X.shape[0], n_splits, seed=args.plan_seed)
-    if mode == "conditional":
-        config = RunConfig(
-            mode="conditional",
-            evidence_method="chib",
-            n_samples=args.samples,
-            burn_in=args.burn_in,
-            master_seed=rep,
-        )
-    else:
-        config = RunConfig(
-            mode="approx",
-            evidence_method="importance",
-            n_samples=args.samples,
-            burn_in=args.burn_in,
-            evidence_samples=args.evidence_samples,
-            master_seed=rep,
-        )
+    # the mode's default estimator: chib in conditional mode, importance in approx
+    config = RunConfig(
+        mode=mode,
+        samples=args.samples,
+        burn_in=args.burn_in,
+        evidence_samples=args.evidence_samples,
+        seed=rep,
+    )
     start = time.perf_counter()
     combined = combine_worker_results(model, run_cluster(data, plan, model, config))
     wall_ms = 1000.0 * (time.perf_counter() - start)

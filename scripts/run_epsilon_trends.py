@@ -62,11 +62,11 @@ def main():
             plan = uniform_split(args.n_obs, n_splits, seed=rep)
             config = RunConfig(
                 mode="approx",
-                evidence_method="importance",
-                n_samples=args.samples,
+                evidence="importance",
+                samples=args.samples,
                 burn_in=args.burn_in,
                 evidence_samples=args.evidence_samples,
-                master_seed=10 * rep + n_splits,
+                seed=10 * rep + n_splits,
             )
             combined = combine_worker_results(
                 model, run_cluster(data, plan, model, config)

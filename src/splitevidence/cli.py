@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,69 +44,13 @@ from .rjmcmc import (
     rjmcmc_sample,
     write_rj_output,
 )
-from .sharding import ShardPlan, read_plan, stratified_split, uniform_split, write_plan
+from .sharding import STRATEGIES, ShardPlan, read_plan, stratified_split, uniform_split, write_plan
 
-CLI_MODES = ("approx", "conditional", "exact")
-EVIDENCE_CHOICES = ("chib", "importance", "laplace")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated file-level configuration for the full pipeline."""
-
-    data: str
-    models: Tuple[str, ...]
-    out: str
-    splits: int = 1
-    strategy: str = "uniform"
-    kmeans_k: int = 10
-    mode: str = "approx"
-    evidence: str = "importance"
-    samples: int = 10_000
-    burn_in: int = 2_000
-    evidence_samples: int = 10_000
-    seed: int = 0
-    parallelism: int = 1
-    verbose: bool = False
-
-    def __post_init__(self):
-        if not os.path.isfile(self.data):
-            raise ConfigurationError(f"data file not found: {self.data}")
-        if not self.models:
-            raise ConfigurationError("at least one model file is required")
-        for path in self.models:
-            if not os.path.isfile(path):
-                raise ConfigurationError(f"model file not found: {path}")
-        if self.splits < 1:
-            raise ConfigurationError("splits must be at least 1")
-        if self.strategy not in ("uniform", "stratified"):
-            raise ConfigurationError(f"unknown strategy {self.strategy!r}")
-        if self.mode not in CLI_MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.evidence not in EVIDENCE_CHOICES:
-            raise ConfigurationError(f"unknown evidence method {self.evidence!r}")
-        if not self.samples > self.burn_in >= 0:
-            raise ConfigurationError("need samples > burn_in >= 0")
-        if self.parallelism < 1:
-            raise ConfigurationError("parallelism must be at least 1")
-
-
-_CONFIG_KEYS = (
-    "data",
-    "models",
-    "out",
-    "splits",
-    "strategy",
-    "kmeans_k",
-    "mode",
-    "evidence",
-    "samples",
-    "burn_in",
-    "evidence_samples",
-    "seed",
-    "parallelism",
-    "verbose",
-)
+# `run` settings outside cluster.RunConfig, with their defaults; `data`,
+# `models` and `out` have none
+_RUN_DEFAULTS = {"splits": 1, "strategy": "uniform", "kmeans_k": 10, "verbose": False}
+_RUN_FIELDS = tuple(f.name for f in fields(cluster.RunConfig))
+_CONFIG_KEYS = ("data", "models", "out", *_RUN_DEFAULTS, *_RUN_FIELDS)
 
 
 def _error_code(exc: Exception) -> str:
@@ -143,36 +87,18 @@ def _load_models(paths: Sequence[str]) -> List[ModelSpec]:
 
 
 def _build_plan(data, splits: int, strategy: str, kmeans_k: int, seed: int) -> ShardPlan:
+    if splits < 1:
+        raise ConfigurationError("splits must be at least 1")
+    if strategy not in STRATEGIES:
+        raise ConfigurationError(f"unknown strategy {strategy!r}")
     if strategy == "uniform":
         return uniform_split(data.X.shape[0], splits, seed=seed)
     return stratified_split(data.X, data.y, splits, kmeans_k=kmeans_k, seed=seed)
 
 
-def _mode_and_evidence(mode: str, evidence: str) -> Tuple[str, str]:
-    """Cluster mode and evidence method for a command-line mode and method.
-
-    Conditional mode always uses the chib estimator, which needs the
-    PG-Gibbs draws only conditional mode makes.
-    """
-    if mode == "conditional":
-        return mode, "chib"
-    if evidence == "chib":
-        raise ConfigurationError("the chib estimator needs conditional mode")
-    return ("exact_oracle" if mode == "exact" else mode), evidence
-
-
-def _cluster_config(cfg: RunConfig, stream_dir: Optional[str]) -> cluster.RunConfig:
-    mode, evidence = _mode_and_evidence(cfg.mode, cfg.evidence)
-    return cluster.RunConfig(
-        mode=mode,
-        evidence_method=evidence,
-        n_samples=cfg.samples,
-        burn_in=cfg.burn_in,
-        evidence_samples=cfg.evidence_samples,
-        master_seed=cfg.seed,
-        parallelism=cfg.parallelism,
-        stream_dir=stream_dir,
-    )
+def _run_config(values) -> cluster.RunConfig:
+    """The cluster.RunConfig of the settings in ``values`` that name one of its fields."""
+    return cluster.RunConfig(**{k: values[k] for k in _RUN_FIELDS if k in values})
 
 
 def _f(value) -> float:
@@ -305,23 +231,18 @@ def _cmd_worker(args) -> int:
         raise ConfigurationError(
             f"shard id {args.shard_id} outside 0..{plan.n_splits - 1}"
         )
-    mode, evidence = _mode_and_evidence(args.mode, args.evidence)
+    config = _run_config(vars(args))
     stream_path = args.stream_out
-    if mode == "conditional" and stream_path is None:
+    if config.mode == "conditional" and stream_path is None:
         stream_path = os.path.join(
             os.path.dirname(os.path.abspath(args.out)), f"cond_{args.shard_id}.ndjson"
         )
-    shard = plan.shard(data, args.shard_id)
     task = cluster.WorkerTask(
-        shard=shard,
+        shard=plan.shard(data, args.shard_id),
         model=models[0],
         n_splits=plan.n_splits,
-        mode=mode,
-        n_samples=args.samples,
-        burn_in=args.burn_in,
-        evidence_method=evidence,
-        evidence_samples=args.evidence_samples,
-        seed=cluster.worker_seed(args.seed, args.shard_id),
+        config=config,
+        seed=cluster.worker_seed(config.seed, args.shard_id),
         stream_path=stream_path,
     )
     result = cluster.run_worker(task)
@@ -368,8 +289,9 @@ def _cmd_combine(args) -> int:
     return 0
 
 
-def _merge_run_config(args) -> RunConfig:
-    merged: Dict[str, object] = {}
+def _merge_run_config(args) -> Dict[str, object]:
+    """`run` settings by config key: defaults, then the --config file, then flags."""
+    merged: Dict[str, object] = dict(_RUN_DEFAULTS)
     if args.config is not None:
         with open(args.config) as handle:
             try:
@@ -382,63 +304,47 @@ def _merge_run_config(args) -> RunConfig:
         if unknown:
             raise ConfigurationError(f"unknown config key(s): {unknown}")
         merged.update(loaded)
-    # flags override the file
-    overrides = {
-        "data": args.data,
-        "models": tuple(args.model) if args.model else None,
-        "out": args.out,
-        "splits": args.splits,
-        "strategy": args.strategy,
-        "kmeans_k": args.kmeans_k,
-        "mode": args.mode,
-        "evidence": args.evidence,
-        "samples": args.samples,
-        "burn_in": args.burn_in,
-        "evidence_samples": args.evidence_samples,
-        "seed": args.seed,
-        "parallelism": args.parallelism,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    if args.verbose:
-        merged["verbose"] = True
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     for key in ("data", "models", "out"):
         if key not in merged:
             raise ConfigurationError(f"missing required setting {key!r}")
-    merged["models"] = tuple(merged["models"])
-    if "evidence" not in merged:
-        merged["evidence"] = (
-            "chib" if merged.get("mode") == "conditional" else "importance"
-        )
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad config value: {exc}")
+    if not merged["models"]:
+        raise ConfigurationError("at least one model file is required")
+    for path in (merged["data"], *merged["models"]):
+        if not os.path.isfile(path):
+            raise ConfigurationError(f"input file not found: {path}")
+    return merged
 
 
 def _cmd_run(args) -> int:
-    cfg = _merge_run_config(args)
-    data = load_csv(cfg.data)
-    models = _load_models(cfg.models)
-    os.makedirs(cfg.out, exist_ok=True)
-    plan = _build_plan(data, cfg.splits, cfg.strategy, cfg.kmeans_k, cfg.seed)
-    write_plan(plan, os.path.join(cfg.out, "plan.json"))
+    settings = _merge_run_config(args)
+    data = load_csv(settings["data"])
+    models = _load_models(settings["models"])
+    try:
+        config = _run_config(settings)
+        plan = _build_plan(
+            data, settings["splits"], settings["strategy"], settings["kmeans_k"], config.seed
+        )
+    except TypeError as exc:
+        raise ConfigurationError(f"bad config value: {exc}")
+    out = settings["out"]
+    os.makedirs(out, exist_ok=True)
+    write_plan(plan, os.path.join(out, "plan.json"))
 
     estimates: List[EvidenceEstimate] = []
     per_model_results: Dict[str, List[cluster.WorkerResult]] = {}
     sizes = plan.sizes()
     for model in models:
-        model_dir = os.path.join(cfg.out, model.model_id)
+        model_dir = os.path.join(out, model.model_id)
         os.makedirs(model_dir, exist_ok=True)
-        stream_dir = model_dir if cfg.mode == "conditional" else None
-        ccfg = _cluster_config(cfg, stream_dir)
-        if cfg.verbose:
+        if settings["verbose"]:
             for sid in range(plan.n_splits):
                 sys.stderr.write(
                     f"access model={model.model_id} shard={sid} rows={sizes[sid]}\n"
                 )
-        results = cluster.run_cluster(data, plan, model, ccfg)
+        results = cluster.run_cluster(data, plan, model, config, stream_dir=model_dir)
         for result in results:
             cluster.write_worker_result(
                 result, os.path.join(model_dir, f"result_{result.shard_id}.json")
@@ -447,12 +353,12 @@ def _cmd_run(args) -> int:
         per_model_results[model.model_id] = list(results)
 
     comparison = compare_models([m.model_id for m in models], estimates)
-    with open(os.path.join(cfg.out, "evidence.json"), "w") as handle:
+    with open(os.path.join(out, "evidence.json"), "w") as handle:
         handle.write(_evidence_json(plan.n_splits, comparison, estimates))
     _write_report_csv(
-        os.path.join(cfg.out, "report.csv"), comparison, estimates, per_model_results
+        os.path.join(out, "report.csv"), comparison, estimates, per_model_results
     )
-    _print_summary(plan.n_splits, cfg.mode, comparison, estimates)
+    _print_summary(plan.n_splits, config.mode, comparison, estimates)
     return 0
 
 
@@ -545,25 +451,17 @@ def _cmd_diagnose(args) -> int:
         raise ConfigurationError("splits must be positive integers")
     if args.repetitions < 1:
         raise ConfigurationError("repetitions must be at least 1")
-    mode, evidence = _mode_and_evidence(args.mode, args.evidence)
+    base = _run_config(vars(args))
 
     rows = []
     for n_splits in split_values:
         for rep in range(args.repetitions):
             master = _diagnose_seed(args.seed, n_splits, rep)
             plan = uniform_split(data.X.shape[0], n_splits, seed=master)
+            config = replace(base, seed=master)
             for model in models:
-                cfg = cluster.RunConfig(
-                    mode=mode,
-                    evidence_method=evidence,
-                    n_samples=args.samples,
-                    burn_in=args.burn_in,
-                    evidence_samples=args.evidence_samples,
-                    master_seed=master,
-                    parallelism=args.parallelism,
-                )
                 started = time.perf_counter()
-                results = cluster.run_cluster(data, plan, model, cfg)
+                results = cluster.run_cluster(data, plan, model, config)
                 estimate = cluster.combine_worker_results(model, results)
                 elapsed_ms = int(round((time.perf_counter() - started) * 1000))
                 rows.append(
@@ -615,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shard", help="plan a data split and write it to JSON")
     p.add_argument("--data", required=True)
     p.add_argument("--splits", type=int, required=True)
-    p.add_argument("--strategy", choices=("uniform", "stratified"), default="uniform")
+    p.add_argument("--strategy", choices=STRATEGIES, default="uniform")
     p.add_argument("--kmeans-k", dest="kmeans_k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -626,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--shard-id", dest="shard_id", type=int, required=True)
-    p.add_argument("--mode", choices=CLI_MODES, default="approx")
-    p.add_argument("--evidence", choices=EVIDENCE_CHOICES, default="importance")
+    p.add_argument("--mode", choices=cluster.MODES, default="approx")
+    p.add_argument("--evidence", choices=cluster.EVIDENCE_METHODS, default=None)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=2_000)
     p.add_argument("--evidence-samples", dest="evidence_samples", type=int,
@@ -647,19 +545,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: shard, sample, combine, report")
     p.add_argument("--config", default=None, help="JSON file mirroring the run config")
     p.add_argument("--data", default=None)
-    p.add_argument("--model", action="append", default=None)
+    p.add_argument("--model", dest="models", action="append", default=None)
     p.add_argument("--splits", type=int, default=None)
-    p.add_argument("--strategy", choices=("uniform", "stratified"), default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.add_argument("--kmeans-k", dest="kmeans_k", type=int, default=None)
-    p.add_argument("--mode", choices=CLI_MODES, default=None)
-    p.add_argument("--evidence", choices=EVIDENCE_CHOICES, default=None)
+    p.add_argument("--mode", choices=cluster.MODES, default=None)
+    p.add_argument("--evidence", choices=cluster.EVIDENCE_METHODS, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     p.add_argument("--evidence-samples", dest="evidence_samples", type=int,
                    default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--parallelism", type=int, default=None)
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run)
 
@@ -667,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, help="base model including every feature")
     p.add_argument("--splits", type=int, default=1)
-    p.add_argument("--strategy", choices=("uniform", "stratified"), default="uniform")
+    p.add_argument("--strategy", choices=STRATEGIES, default="uniform")
     p.add_argument("--kmeans-k", dest="kmeans_k", type=int, default=10)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=10_000)
@@ -686,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", required=True, help="comma list, e.g. 1,2,4")
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--model", action="append", default=None)
-    p.add_argument("--mode", choices=CLI_MODES, default="approx")
-    p.add_argument("--evidence", choices=EVIDENCE_CHOICES, default="importance")
+    p.add_argument("--mode", choices=cluster.MODES, default="approx")
+    p.add_argument("--evidence", choices=cluster.EVIDENCE_METHODS, default=None)
     p.add_argument("--samples", type=int, default=2_000)
     p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
     p.add_argument("--evidence-samples", dest="evidence_samples", type=int,

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CombinationError,
     ConfigurationError,
     DecodeError,
     SchemaVersionError,
@@ -61,7 +62,7 @@ from .samplers import (
 
 SCHEMA_VERSION = 1
 
-MODES = ("approx", "conditional", "exact_oracle")
+MODES = ("approx", "conditional", "exact")
 EVIDENCE_METHODS = ("chib", "importance", "laplace")
 
 # sub-role indices for per-worker seed derivation
@@ -79,58 +80,63 @@ def derived_seed(master_seed: int, shard_id: int, role: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every worker in a run."""
+    """Settings shared by every worker of a run; the one place they are checked.
+
+    Field names are the command-line flags and the ``run --config`` keys.
+    ``evidence=None`` picks the mode's estimator: chib in conditional mode,
+    importance otherwise.  Chib needs the PG-Gibbs draws that only
+    conditional mode makes, and conditional mode needs chib.  Exact mode is
+    the analytic bypass for conjugate linear models and runs no chain.
+    """
 
     mode: str = "approx"
-    evidence_method: str = "importance"
-    n_samples: int = 10_000
+    evidence: Optional[str] = None
+    samples: int = 10_000
     burn_in: int = 2_000
     evidence_samples: int = 10_000
-    master_seed: int = 0
+    seed: int = 0
     parallelism: int = 1
-    stream_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.evidence_method not in EVIDENCE_METHODS:
+        if self.evidence is None:
+            default = "chib" if self.mode == "conditional" else "importance"
+            object.__setattr__(self, "evidence", default)
+        if self.evidence not in EVIDENCE_METHODS:
             raise ConfigurationError(
-                f"unknown evidence method {self.evidence_method!r}; "
-                f"choose from {EVIDENCE_METHODS}"
+                f"unknown evidence method {self.evidence!r}; choose from {EVIDENCE_METHODS}"
             )
-        if self.mode == "conditional" and self.evidence_method != "chib":
-            raise ConfigurationError("conditional mode uses the chib estimator")
-        if self.mode == "approx" and self.evidence_method == "chib":
+        if (self.evidence == "chib") != (self.mode == "conditional"):
             raise ConfigurationError(
-                "the chib estimator needs conditional mode (PG-Gibbs draws)"
+                f"{self.mode} mode with the {self.evidence} estimator: the chib "
+                "estimator runs in conditional mode, and only there"
             )
+        if not self.samples > self.burn_in >= 0:
+            raise ConfigurationError("need samples > burn_in >= 0")
         if self.parallelism < 1:
             raise ConfigurationError("parallelism must be at least 1")
-        if self.n_samples < 1 or self.burn_in < 0:
-            raise ConfigurationError("need n_samples >= 1 and burn_in >= 0")
 
 
 @dataclass
 class WorkerTask:
-    """Everything one worker needs; holds only its own shard."""
+    """Everything one worker needs; holds only its own shard.
+
+    ``seed`` is the worker's own seed, derived from ``config.seed`` and the
+    shard id by ``worker_seed``.
+    """
 
     shard: Shard
     model: ModelSpec
     n_splits: int
-    mode: str
-    n_samples: int
-    burn_in: int
-    evidence_method: str
-    evidence_samples: int
+    config: RunConfig
     seed: int
     stream_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.mode == "conditional":
+        if self.config.mode == "conditional":
             ok = isinstance(self.model.likelihood, LogisticLikelihood) and isinstance(
                 self.model.prior, NormalPrior
             )
@@ -192,13 +198,10 @@ class WorkerResult:
         return GaussianMoments(mean=self.mean, cov=self.cov)
 
     def local_estimate(self) -> EvidenceEstimate:
-        method = {"laplace": "laplace_metropolis"}.get(
-            self.evidence_method, self.evidence_method
-        )
         return EvidenceEstimate(
             log_value=self.log_local_evidence,
             mc_std_err=self.evidence_std_err,
-            method=method,
+            method=self.evidence_method,
             n_samples_used=self.n_samples,
             ess=self.ess,
         )
@@ -218,6 +221,7 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
     shard = task.shard
     model = task.model
     n_splits = task.n_splits
+    config = task.config
     common = dict(
         shard_id=shard.shard_id,
         model_id=model.model_id,
@@ -227,14 +231,14 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
         seed=task.seed,
     )
 
-    if task.mode == "exact_oracle":
+    if config.mode == "exact":
         # analytic bypass for conjugate linear models, used to exercise the
         # protocol without Monte Carlo noise
         from .diagnostics import exact_local_evidence, exact_local_moments
 
         if not isinstance(model.likelihood, LinearKnownVar):
             raise ConfigurationError(
-                "exact_oracle mode requires a linear likelihood with known noise"
+                "exact mode requires a linear likelihood with known noise"
             )
         mom = exact_local_moments(model, shard, n_splits)
         value = exact_local_evidence(model, shard, n_splits)
@@ -242,19 +246,19 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
             n_samples=0,
             mean=mom.mean,
             cov=mom.cov,
-            evidence_method="exact_oracle",
+            evidence_method="exact",
             log_local_evidence=float(value),
             evidence_std_err=None,
             **common,
         )
 
-    if task.mode == "conditional":
+    if config.mode == "conditional":
         chain, stream = pg_gibbs_logistic(
             model,
             shard,
             n_splits,
-            n_iter=task.n_samples,
-            burn_in=task.burn_in,
+            n_iter=config.samples,
+            burn_in=config.burn_in,
             seed=task.seed,
         )
         mom = chain_moments(chain)
@@ -282,38 +286,32 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
     chain = rwmh_chain(
         target,
         fit.mean,
-        n_iter=task.n_samples,
-        burn_in=task.burn_in,
+        n_iter=config.samples,
+        burn_in=config.burn_in,
         seed=task.seed,
         init_cov=fit.cov,
     )
     mom = chain_moments(chain)
-    if task.evidence_method == "importance":
+    if config.evidence == "importance":
         est = importance_log_evidence(
             model,
             shard,
             n_splits,
             mom,
-            n_samples=task.evidence_samples,
+            n_samples=config.evidence_samples,
             seed=derived_seed_from_task(task),
         )
-        ess = est.ess
-    elif task.evidence_method == "laplace":
-        est = laplace_metropolis_log_evidence(model, shard, n_splits, mom)
-        ess = None
     else:
-        raise ConfigurationError(
-            f"evidence method {task.evidence_method!r} is not valid in approx mode"
-        )
+        est = laplace_metropolis_log_evidence(model, shard, n_splits, mom)
     return WorkerResult(
         n_samples=chain.n_retained,
         mean=mom.mean,
         cov=mom.cov,
-        evidence_method=task.evidence_method,
+        evidence_method=config.evidence,
         log_local_evidence=est.log_value,
         evidence_std_err=est.mc_std_err,
         acceptance_rate=chain.acceptance_rate,
-        ess=ess,
+        ess=est.ess,
         **common,
     )
 
@@ -329,24 +327,20 @@ def make_tasks(
     plan,
     model: ModelSpec,
     config: RunConfig,
+    stream_dir: Optional[str] = None,
 ) -> List[WorkerTask]:
-    shards = plan.shards(data)
     tasks = []
-    for shard in shards:
+    for shard in plan.shards(data):
         stream_path = None
-        if config.mode == "conditional" and config.stream_dir is not None:
-            stream_path = f"{config.stream_dir}/cond_{shard.shard_id}.ndjson"
+        if config.mode == "conditional" and stream_dir is not None:
+            stream_path = f"{stream_dir}/cond_{shard.shard_id}.ndjson"
         tasks.append(
             WorkerTask(
                 shard=shard,
                 model=model,
                 n_splits=plan.n_splits,
-                mode=config.mode,
-                n_samples=config.n_samples,
-                burn_in=config.burn_in,
-                evidence_method=config.evidence_method,
-                evidence_samples=config.evidence_samples,
-                seed=worker_seed(config.master_seed, shard.shard_id),
+                config=config,
+                seed=worker_seed(config.seed, shard.shard_id),
                 stream_path=stream_path,
             )
         )
@@ -358,14 +352,19 @@ def run_cluster(
     plan,
     model: ModelSpec,
     config: RunConfig,
+    stream_dir: Optional[str] = None,
 ) -> List[WorkerResult]:
     """Fan out one task per shard, fan in; exactly one result per shard.
 
-    Workers run in a thread pool (degree ``config.parallelism``); results
-    come back ordered by shard id regardless of scheduling.  Any failure
-    aborts the whole run with a per-shard report.
+    Every worker runs under the same ``config``; worker s draws from
+    ``worker_seed(config.seed, s)``.  In conditional mode with a
+    ``stream_dir``, worker s also writes its stream to
+    ``<stream_dir>/cond_<s>.ndjson``.  Workers run in a thread pool (degree
+    ``config.parallelism``); results come back ordered by shard id
+    regardless of scheduling.  Any failure aborts the whole run with a
+    per-shard report.
     """
-    tasks = make_tasks(data, plan, model, config)
+    tasks = make_tasks(data, plan, model, config, stream_dir)
     results: List[Optional[WorkerResult]] = [None] * len(tasks)
     failures: Dict[int, str] = {}
     if config.parallelism == 1:
@@ -409,13 +408,12 @@ def _resolve_stream(result: WorkerResult) -> ConditionalGaussianStream:
 def combine_worker_results(
     model: ModelSpec,
     results: Sequence[WorkerResult],
-    conditional: Optional[bool] = None,
 ) -> EvidenceEstimate:
     """Recombine per-shard results into the full-data log evidence.
 
-    Conditional combination is used when every result carries a stream
-    (or explicitly via ``conditional=True``); otherwise the Gaussian
-    moment summaries close the integral.
+    Every shard must report the same local evidence method.  Chib results
+    close the I_sub integral with their per-draw conditional streams; any
+    other method closes it with the Gaussian moment summaries.
     """
     if len(results) == 0:
         raise WorkerError("no worker results to combine")
@@ -433,14 +431,12 @@ def combine_worker_results(
             )
         if r.n_splits != n_splits:
             raise WorkerError("results disagree on the split count")
+    methods = sorted({r.evidence_method for r in ordered})
+    if len(methods) > 1:
+        raise CombinationError(f"shards report different local evidence methods {methods}")
 
-    if conditional is None:
-        conditional = all(
-            r.stream is not None or r.conditional_stream_path is not None
-            for r in ordered
-        )
     locals_ = [r.local_estimate() for r in ordered]
-    if conditional:
+    if methods[0] == "chib":
         streams = [_resolve_stream(r) for r in ordered]
         log_isub = conditional_isub(streams)
         method = "combined_conditional"
@@ -564,8 +560,7 @@ def decode_worker_result(payload: bytes) -> WorkerResult:
         if key not in ev:
             raise DecodeError(f"log_local_evidence missing key {key!r}")
     method = ev["method"]
-    allowed = ("chib", "importance", "laplace", "exact_oracle")
-    if method not in allowed:
+    if method not in EVIDENCE_METHODS + ("exact",):
         raise DecodeError(f"unknown local evidence method {method!r}")
     value = ev["value"]
     if not isinstance(value, (int, float)) or isinstance(value, bool):

@@ -36,8 +36,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 METHODS = (
     "chib",
     "importance",
-    "laplace_metropolis",
-    "exact_oracle",
+    "laplace",
+    "exact",
     "combined_approx",
     "combined_conditional",
 )
@@ -194,7 +194,7 @@ def laplace_metropolis_log_evidence(
     return EvidenceEstimate(
         log_value=float(log_ev),
         mc_std_err=None,
-        method="laplace_metropolis",
+        method="laplace",
         n_samples_used=0,
     )
 
@@ -207,14 +207,18 @@ def conditional_isub(
 
     For each retained draw n the integral of the product over shards of the
     conditional Gaussians is evaluated in closed form; the estimate is the
-    log of their average.  Any non-SPD precision record aborts.
+    log of their average.  The streams must hold the same number of draws.
+    Any non-SPD precision record aborts.
     """
     if len(streams) == 0:
         raise DomainError("no streams given")
     dims = {s.dim for s in streams}
     if len(dims) != 1:
         raise DomainError(f"streams have mixed dimensions {sorted(dims)}")
-    available = min(s.n_records for s in streams)
+    counts = sorted({s.n_records for s in streams})
+    if len(counts) != 1:
+        raise DomainError(f"streams hold different numbers of draws {counts}")
+    available = counts[0]
     if n_draws is None:
         n_draws = available
     if not 1 <= n_draws <= available:

@@ -88,7 +88,7 @@ def test_exact_recombination_matches_conjugate_oracle():
     data, models = make_synthetic("linear_conjugate", seed=0)
     model = models[0]
     oracle = _conjugate_oracle(data, model)
-    config = RunConfig(mode="exact_oracle")
+    config = RunConfig(mode="exact")
     worst = 0.0
     for n_splits in (1, 2, 5, 10):
         plan = uniform_split(data.X.shape[0], n_splits, seed=1)
@@ -115,11 +115,11 @@ def test_sampled_pipeline_tracks_conjugate_oracle():
         plan = uniform_split(data.X.shape[0], n_splits, seed=1)
         config = RunConfig(
             mode="approx",
-            evidence_method="importance",
-            n_samples=10_000,
+            evidence="importance",
+            samples=10_000,
             burn_in=2_000,
             evidence_samples=10_000,
-            master_seed=3,
+            seed=3,
         )
         combined = combine_worker_results(
             model, run_cluster(data, plan, model, config)
@@ -314,19 +314,19 @@ def test_conditional_method_degrades_with_splits():
                 if mode == "conditional":
                     config = RunConfig(
                         mode="conditional",
-                        evidence_method="chib",
-                        n_samples=1_000,
+                        evidence="chib",
+                        samples=1_000,
                         burn_in=250,
-                        master_seed=rep,
+                        seed=rep,
                     )
                 else:
                     config = RunConfig(
                         mode="approx",
-                        evidence_method="importance",
-                        n_samples=1_000,
+                        evidence="importance",
+                        samples=1_000,
                         burn_in=250,
                         evidence_samples=4_000,
-                        master_seed=rep,
+                        seed=rep,
                     )
                 combined = combine_worker_results(
                     model, run_cluster(data, plan, model, config)
@@ -371,11 +371,11 @@ def test_epsilon_metrics_trend_with_split_count():
             plan = uniform_split(data.X.shape[0], n_splits, seed=rep)
             config = RunConfig(
                 mode="approx",
-                evidence_method="importance",
-                n_samples=2_000,
+                evidence="importance",
+                samples=2_000,
                 burn_in=500,
                 evidence_samples=4_000,
-                master_seed=10 * rep + n_splits,
+                seed=10 * rep + n_splits,
             )
             combined = combine_worker_results(
                 model, run_cluster(data, plan, model, config)
@@ -477,7 +477,7 @@ def _random_worker_result(rng) -> WorkerResult:
     dim = int(rng.integers(1, 7))
     a = rng.standard_normal((dim, dim))
     cov = a @ a.T + dim * np.eye(dim)
-    method = ("importance", "laplace", "chib", "exact_oracle")[int(rng.integers(4))]
+    method = ("importance", "laplace", "chib", "exact")[int(rng.integers(4))]
     return WorkerResult(
         shard_id=int(rng.integers(0, 50)),
         model_id=f"m{int(rng.integers(0, 10))}",

@@ -300,6 +300,69 @@ class TestRunPipeline:
         ).read_bytes()
         assert (out_a / "plan.json").read_bytes() == (out_b / "plan.json").read_bytes()
 
+    def test_config_file_with_every_key_matches_flags(
+        self, logistic_fixture, tmp_path, capsys
+    ):
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        settings = {
+            "data": logistic_fixture["data"],
+            "models": [logistic_fixture["model"], logistic_fixture["twin"]],
+            "out": str(out_a),
+            "splits": 2,
+            "strategy": "stratified",
+            "kmeans_k": 3,
+            "verbose": True,
+            "mode": "approx",
+            "evidence": "laplace",
+            "samples": 400,
+            "burn_in": 100,
+            "evidence_samples": 300,
+            "seed": 5,
+            "parallelism": 2,
+        }
+        assert set(settings) == set(cli._CONFIG_KEYS)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        from_file = capsys.readouterr()
+        assert cli.main(
+            [
+                "run",
+                "--data", logistic_fixture["data"],
+                "--model", logistic_fixture["model"],
+                "--model", logistic_fixture["twin"],
+                "--splits", "2",
+                "--strategy", "stratified",
+                "--kmeans-k", "3",
+                "--verbose",
+                "--mode", "approx",
+                "--evidence", "laplace",
+                "--samples", "400",
+                "--burn-in", "100",
+                "--evidence-samples", "300",
+                "--seed", "5",
+                "--parallelism", "2",
+                "--out", str(out_b),
+            ]
+        ) == 0
+        from_flags = capsys.readouterr()
+        assert from_file.err == from_flags.err
+        assert from_file.err.count("access ") == 4
+        assert "[approx]" in from_file.out
+        files = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
+        assert len(files) == 3 + 2 * 2
+        assert files == sorted(
+            p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file()
+        )
+        for name in files:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        plan = read_plan(out_a / "plan.json")
+        assert plan.strategy == "stratified"
+        assert json.loads((out_a / "m_a" / "result_0.json").read_text())[
+            "log_local_evidence"
+        ]["method"] == "laplace"
+
 
 class TestWorkerCombineByHand:
     def test_matches_run_pipeline_approx(self, conjugate_fixture, tmp_path):
@@ -618,9 +681,19 @@ class TestErrorReporting:
         assert error["code"] == "E_INPUT"
         assert "nope.csv" in error["message"]
 
-    @pytest.mark.parametrize("command", ["run", "worker", "diagnose"])
+    @pytest.mark.parametrize(
+        "command, mode, evidence",
+        [
+            pytest.param(command, mode, evidence, id=label)
+            for command in ("run", "worker", "diagnose")
+            for mode, evidence, label in (
+                ("approx", "chib", command),
+                ("conditional", "importance", f"{command}-conditional-importance"),
+            )
+        ],
+    )
     def test_chib_outside_conditional_mode(
-        self, conjugate_fixture, tmp_path, capsys, command
+        self, conjugate_fixture, tmp_path, capsys, command, mode, evidence
     ):
         data = ["--data", conjugate_fixture["data"], "--model", conjugate_fixture["model"]]
         if command == "run":
@@ -635,33 +708,32 @@ class TestErrorReporting:
         else:
             argv = ["diagnose", "--scenario", "linear_conjugate", "--splits", "1"]
         code = cli.main(
-            argv + ["--mode", "approx", "--evidence", "chib", "--out", str(tmp_path / "out")]
+            argv + ["--mode", mode, "--evidence", evidence, "--out", str(tmp_path / "out")]
         )
         assert code != 0
         error = _read_error(capsys)
         assert error["code"] == "E_INPUT"
         assert "chib" in error["message"]
 
-    def test_truncated_stream_rejected(self, logistic_fixture, tmp_path, capsys):
+    def _two_workers(self, fixture, tmp_path, shard_flags):
+        """Run shard s of a two-way plan with ``shard_flags[s]``; the result paths."""
         plan_path = str(tmp_path / "plan.json")
-        data = ["--data", logistic_fixture["data"], "--model", logistic_fixture["model"]]
         assert cli.main(
-            ["shard", "--data", logistic_fixture["data"], "--splits", "2", "--out", plan_path]
+            ["shard", "--data", fixture["data"], "--splits", "2", "--out", plan_path]
         ) == 0
         results = []
-        for sid in range(2):
+        for sid, flags in enumerate(shard_flags):
             results.append(str(tmp_path / f"result_{sid}.json"))
             assert cli.main(
-                [
-                    "worker", *data,
-                    "--plan", plan_path,
-                    "--shard-id", str(sid),
-                    "--mode", "conditional",
-                    "--samples", "300",
-                    "--burn-in", "50",
-                    "--out", results[-1],
-                ]
+                ["worker", "--data", fixture["data"], "--model", fixture["model"],
+                 "--plan", plan_path, "--shard-id", str(sid), *flags,
+                 "--out", results[-1]]
             ) == 0
+        return results
+
+    def test_truncated_stream_rejected(self, logistic_fixture, tmp_path, capsys):
+        flags = ["--mode", "conditional", "--samples", "300", "--burn-in", "50"]
+        results = self._two_workers(logistic_fixture, tmp_path, [flags, flags])
         # keep the header and the first 100 of 250 records
         stream = tmp_path / "cond_1.ndjson"
         lines = stream.read_text().splitlines(keepends=True)
@@ -675,6 +747,34 @@ class TestErrorReporting:
         assert error["code"] == "E_INPUT"
         assert "shard 1" in error["message"]
         assert "100" in error["message"] and "250" in error["message"]
+        assert not (tmp_path / "evidence.json").exists()
+
+    @pytest.mark.parametrize(
+        "second, code, words",
+        [
+            pytest.param(
+                ["--mode", "conditional", "--samples", "150", "--burn-in", "50"],
+                "E_DOMAIN", ["100", "250"], id="draw-counts",
+            ),
+            pytest.param(
+                ["--mode", "approx", "--evidence", "importance", "--samples", "300",
+                 "--burn-in", "50", "--evidence-samples", "500"],
+                "E_COMBINE", ["chib", "importance"], id="mixed-estimators",
+            ),
+        ],
+    )
+    def test_incompatible_results_rejected(
+        self, logistic_fixture, tmp_path, capsys, second, code, words
+    ):
+        first = ["--mode", "conditional", "--samples", "300", "--burn-in", "50"]
+        results = self._two_workers(logistic_fixture, tmp_path, [first, second])
+        assert cli.main(
+            ["combine", "--model", logistic_fixture["model"], "--results", *results,
+             "--out", str(tmp_path / "evidence.json")]
+        ) == 1
+        error = _read_error(capsys)
+        assert error["code"] == code
+        assert all(word in error["message"] for word in words), error["message"]
         assert not (tmp_path / "evidence.json").exists()
 
     def test_samples_must_exceed_burn_in(self, conjugate_fixture, tmp_path, capsys):
@@ -737,6 +837,34 @@ class TestErrorReporting:
         error = _read_error(capsys)
         assert error["code"] == "E_INPUT"
         assert "bogus" in error["message"]
+
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"splits": "2"}, "bad config value"),
+            ({"samples": "x"}, "bad config value"),
+            ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
+        ],
+        ids=["splits", "samples", "strategy"],
+    )
+    def test_bad_config_value(self, conjugate_fixture, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "data": conjugate_fixture["data"],
+                    "models": [conjugate_fixture["model"]],
+                    "mode": "exact",
+                    **setting,
+                }
+            )
+        )
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        error = _read_error(capsys)
+        assert error["code"] == "E_INPUT"
+        assert message in error["message"]
 
 
 class TestEntryPoint:

@@ -92,14 +92,14 @@ class TestSeeds:
 class TestRunConfig:
     def test_mode_method_compatibility(self):
         with pytest.raises(ConfigurationError):
-            RunConfig(mode="conditional", evidence_method="importance")
+            RunConfig(mode="conditional", evidence="importance")
         with pytest.raises(ConfigurationError):
-            RunConfig(mode="approx", evidence_method="chib")
+            RunConfig(mode="approx", evidence="chib")
         with pytest.raises(ConfigurationError):
             RunConfig(mode="teleport")
         with pytest.raises(ConfigurationError):
             RunConfig(parallelism=0)
-        RunConfig(mode="conditional", evidence_method="chib")
+        RunConfig(mode="conditional", evidence="chib")
 
     def test_conditional_task_needs_logistic_normal(self):
         data, models = make_synthetic("linear_conjugate", seed=0)
@@ -108,11 +108,13 @@ class TestRunConfig:
                 shard=whole_shard(data),
                 model=models[0],
                 n_splits=1,
-                mode="conditional",
-                n_samples=100,
-                burn_in=10,
-                evidence_method="chib",
-                evidence_samples=100,
+                config=RunConfig(
+                    mode="conditional",
+                    samples=100,
+                    burn_in=10,
+                    evidence="chib",
+                    evidence_samples=100,
+                ),
                 seed=0,
             )
 
@@ -134,11 +136,13 @@ class TestRunWorker:
             shard=whole_shard(data),
             model=model,
             n_splits=n_splits,
-            mode="approx",
-            n_samples=8000,
-            burn_in=1500,
-            evidence_method="importance",
-            evidence_samples=20_000,
+            config=RunConfig(
+                mode="approx",
+                samples=8000,
+                burn_in=1500,
+                evidence="importance",
+                evidence_samples=20_000,
+            ),
             seed=3,
         )
         result = run_worker(task)
@@ -153,11 +157,13 @@ class TestRunWorker:
             shard=whole_shard(data),
             model=model,
             n_splits=1,
-            mode="approx",
-            n_samples=2000,
-            burn_in=400,
-            evidence_method="laplace",
-            evidence_samples=0,
+            config=RunConfig(
+                mode="approx",
+                samples=2000,
+                burn_in=400,
+                evidence="laplace",
+                evidence_samples=0,
+            ),
             seed=11,
         )
         a = encode_worker_result(run_worker(task))
@@ -174,16 +180,12 @@ class TestRunWorker:
             shard=shard,
             model=model,
             n_splits=1,
-            mode="exact_oracle",
-            n_samples=0,
-            burn_in=0,
-            evidence_method="importance",
-            evidence_samples=0,
+            config=RunConfig(mode="exact", evidence="importance", evidence_samples=0),
             seed=0,
         )
         result = run_worker(task)
         assert result.n_samples == 0
-        assert result.evidence_method == "exact_oracle"
+        assert result.evidence_method == "exact"
         assert result.log_local_evidence == pytest.approx(
             exact_local_evidence(model, shard, 1), abs=1e-8
         )
@@ -194,11 +196,7 @@ class TestRunWorker:
             shard=whole_shard(data),
             model=model,
             n_splits=1,
-            mode="exact_oracle",
-            n_samples=0,
-            burn_in=0,
-            evidence_method="importance",
-            evidence_samples=0,
+            config=RunConfig(mode="exact", evidence="importance", evidence_samples=0),
             seed=0,
         )
         with pytest.raises(WorkerError, match="shard 0"):
@@ -211,11 +209,13 @@ class TestRunWorker:
             shard=whole_shard(data),
             model=model,
             n_splits=1,
-            mode="conditional",
-            n_samples=1500,
-            burn_in=300,
-            evidence_method="chib",
-            evidence_samples=0,
+            config=RunConfig(
+                mode="conditional",
+                samples=1500,
+                burn_in=300,
+                evidence="chib",
+                evidence_samples=0,
+            ),
             seed=5,
             stream_path=path,
         )
@@ -233,10 +233,10 @@ class TestRunCluster:
         plan = uniform_split(data.X.shape[0], 1, seed=0)
         cfg = RunConfig(
             mode="approx",
-            evidence_method="laplace",
-            n_samples=2000,
+            evidence="laplace",
+            samples=2000,
             burn_in=400,
-            master_seed=2,
+            seed=2,
         )
         results = run_cluster(data, plan, model, cfg)
         assert len(results) == 1
@@ -250,7 +250,7 @@ class TestRunCluster:
             data.X, data.y, model.prior.mean, model.prior.cov, 1.0
         )
         plan = uniform_split(data.X.shape[0], 4, seed=1)
-        cfg = RunConfig(mode="exact_oracle", master_seed=5)
+        cfg = RunConfig(mode="exact", seed=5)
         results = run_cluster(data, plan, model, cfg)
         assert [r.shard_id for r in results] == [0, 1, 2, 3]
         combined = combine_worker_results(model, results)
@@ -262,21 +262,21 @@ class TestRunCluster:
         model = models[0]
         plan = uniform_split(data.X.shape[0], 4, seed=1)
         serial = run_cluster(
-            data, plan, model, RunConfig(mode="exact_oracle", master_seed=5)
+            data, plan, model, RunConfig(mode="exact", seed=5)
         )
         threaded = run_cluster(
             data,
             plan,
             model,
-            RunConfig(mode="exact_oracle", master_seed=5, parallelism=4),
+            RunConfig(mode="exact", seed=5, parallelism=4),
         )
         assert all(a == b for a, b in zip(serial, threaded))
 
     def test_worker_failure_reports_shard(self):
         data, model = _logistic_setup()
         plan = uniform_split(data.X.shape[0], 2, seed=0)
-        # exact_oracle on a logistic model fails inside every worker
-        cfg = RunConfig(mode="exact_oracle", master_seed=0)
+        # exact mode on a logistic model fails inside every worker
+        cfg = RunConfig(mode="exact", seed=0)
         with pytest.raises(WorkerError, match="shard 0"):
             run_cluster(data, plan, model, cfg)
 
@@ -286,13 +286,12 @@ class TestRunCluster:
         plan = uniform_split(data.X.shape[0], 2, seed=0)
         cfg = RunConfig(
             mode="conditional",
-            evidence_method="chib",
-            n_samples=5000,
+            evidence="chib",
+            samples=5000,
             burn_in=1000,
-            master_seed=3,
-            stream_dir=str(tmp_path),
+            seed=3,
         )
-        results = run_cluster(data, plan, model, cfg)
+        results = run_cluster(data, plan, model, cfg, stream_dir=str(tmp_path))
         combined = combine_worker_results(model, results)
         assert combined.method == "combined_conditional"
         assert abs(combined.log_value - truth) < 0.15
@@ -309,7 +308,7 @@ class TestRunCluster:
         data, models = make_synthetic("linear_conjugate", seed=3)
         model = models[0]
         plan = uniform_split(data.X.shape[0], 3, seed=1)
-        results = run_cluster(data, plan, model, RunConfig(mode="exact_oracle"))
+        results = run_cluster(data, plan, model, RunConfig(mode="exact"))
         with pytest.raises(WorkerError):
             combine_worker_results(model, results[:2])
         with pytest.raises(WorkerError):
@@ -332,7 +331,7 @@ class TestRunCluster:
             dim=2,
         )
         with pytest.raises(WorkerError, match="stream"):
-            combine_worker_results(model, [result], conditional=True)
+            combine_worker_results(model, [result])
 
     @pytest.mark.parametrize("n_records, dim", [(99, 2), (100, 3)])
     def test_stream_must_match_its_result(self, n_records, dim):
@@ -449,7 +448,7 @@ class TestCanonicalSerialization:
             mean=rng.standard_normal(dim),
             cov=cov,
             evidence_method=data.draw(
-                st.sampled_from(["chib", "importance", "laplace", "exact_oracle"])
+                st.sampled_from(["chib", "importance", "laplace", "exact"])
             ),
             log_local_evidence=data.draw(st.floats(-1e8, 1e8, allow_nan=False)),
             evidence_std_err=data.draw(maybe_float),

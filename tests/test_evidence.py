@@ -134,7 +134,7 @@ class TestLaplaceMetropolis:
                 truth = exact_local_evidence(model, shard, n_splits)
                 mom = exact_local_moments(model, shard, n_splits)
                 est = laplace_metropolis_log_evidence(model, shard, n_splits, mom)
-                assert est.method == "laplace_metropolis"
+                assert est.method == "laplace"
                 assert est.mc_std_err is None
                 assert abs(est.log_value - truth) < 1e-8
 
@@ -283,7 +283,7 @@ class TestCombine:
                 EvidenceEstimate(
                     log_value=exact_local_evidence(model, sh, n_splits),
                     mc_std_err=None,
-                    method="exact_oracle",
+                    method="exact",
                     n_samples_used=0,
                 )
                 for sh in shards
@@ -362,7 +362,7 @@ class TestModelComparison:
     def test_compare_models(self):
         ests = [
             EvidenceEstimate(
-                log_value=v, mc_std_err=None, method="exact_oracle", n_samples_used=0
+                log_value=v, mc_std_err=None, method="exact", n_samples_used=0
             )
             for v in (-10.0, -12.5, -9.0)
         ]
@@ -376,7 +376,7 @@ class TestModelComparison:
 
     def test_compare_models_validation(self):
         est = EvidenceEstimate(
-            log_value=0.0, mc_std_err=None, method="exact_oracle", n_samples_used=0
+            log_value=0.0, mc_std_err=None, method="exact", n_samples_used=0
         )
         with pytest.raises(DomainError):
             compare_models(["a", "b"], [est])
@@ -385,7 +385,7 @@ class TestModelComparison:
 
     def test_log_bayes_factor_inputs(self):
         est = EvidenceEstimate(
-            log_value=-4.0, mc_std_err=None, method="exact_oracle", n_samples_used=0
+            log_value=-4.0, mc_std_err=None, method="exact", n_samples_used=0
         )
         assert log_bayes_factor(est, -6.0) == pytest.approx(2.0)
         assert log_bayes_factor(-6.0, est) == pytest.approx(-2.0)
