@@ -37,7 +37,14 @@ from .errors import (
     WorkerError,
 )
 from .evidence import EvidenceEstimate, ModelComparison, compare_models
-from .models import ModelSpec, load_csv, model_spec_from_json, model_spec_to_json, save_csv
+from .models import (
+    ModelSpec,
+    load_csv,
+    model_spec_from_json,
+    model_spec_to_json,
+    save_csv,
+    whole_shard,
+)
 from .rjmcmc import (
     ModelIndicator,
     distributed_log_bf,
@@ -224,13 +231,13 @@ def _cmd_shard(args) -> int:
 
 
 def _cmd_worker(args) -> int:
-    data = load_csv(args.data)
-    models = _load_models([args.model])
     plan = read_plan(args.plan)
     if not 0 <= args.shard_id < plan.n_splits:
         raise ConfigurationError(
             f"shard id {args.shard_id} outside 0..{plan.n_splits - 1}"
         )
+    data = load_csv(args.data, rows=plan.assignment == args.shard_id)
+    models = _load_models([args.model])
     config = _run_config(vars(args))
     stream_path = args.stream_out
     if config.mode == "conditional" and stream_path is None:
@@ -238,7 +245,7 @@ def _cmd_worker(args) -> int:
             os.path.dirname(os.path.abspath(args.out)), f"cond_{args.shard_id}.ndjson"
         )
     task = cluster.WorkerTask(
-        shard=plan.shard(data, args.shard_id),
+        shard=whole_shard(data, args.shard_id),
         model=models[0],
         n_splits=plan.n_splits,
         config=config,

@@ -31,6 +31,7 @@ from .errors import (
     WorkerError,
 )
 from .evidence import (
+    MIN_IMPORTANCE_DRAWS,
     EvidenceEstimate,
     approx_isub,
     chib_log_evidence,
@@ -116,6 +117,15 @@ class RunConfig:
             )
         if not self.samples > self.burn_in >= 0:
             raise ConfigurationError("need samples > burn_in >= 0")
+        if self.mode == "approx" and self.evidence == "importance" and (
+            self.evidence_samples < MIN_IMPORTANCE_DRAWS
+        ):
+            raise ConfigurationError(
+                f"the importance estimator needs evidence_samples >= "
+                f"{MIN_IMPORTANCE_DRAWS}, got {self.evidence_samples}"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.parallelism < 1:
             raise ConfigurationError("parallelism must be at least 1")
 
@@ -211,8 +221,6 @@ def run_worker(task: WorkerTask) -> WorkerResult:
     """Sample one subposterior and summarize it; deterministic given the task."""
     try:
         return _run_worker_inner(task)
-    except WorkerError:
-        raise
     except Exception as exc:
         raise WorkerError(f"shard {task.shard.shard_id}: {exc}") from exc
 
@@ -382,7 +390,7 @@ def run_cluster(
                 except WorkerError as exc:
                     failures[tasks[i].shard.shard_id] = str(exc)
     if failures:
-        report = "; ".join(f"shard {sid}: {msg}" for sid, msg in sorted(failures.items()))
+        report = "; ".join(msg for _, msg in sorted(failures.items()))
         raise WorkerError(f"{len(failures)} worker(s) failed: {report}")
     return sorted(results, key=lambda r: r.shard_id)
 

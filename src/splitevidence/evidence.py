@@ -32,6 +32,7 @@ from .models import ModelSpec, Shard
 from .samplers import Chain, ConditionalGaussianStream, SubposteriorDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
+MIN_IMPORTANCE_DRAWS = 100
 
 METHODS = (
     "chib",
@@ -136,8 +137,8 @@ def importance_log_evidence(
     The proposal is N(mean, inflation * cov); weights are
     lik * subprior / proposal, averaged with log-sum-exp.
     """
-    if n_samples < 100:
-        raise DomainError("importance sampling needs at least 100 draws")
+    if n_samples < MIN_IMPORTANCE_DRAWS:
+        raise DomainError(f"importance sampling needs at least {MIN_IMPORTANCE_DRAWS} draws")
     if not inflation > 0:
         raise DomainError("proposal inflation must be positive")
     d = model.theta_dim

@@ -22,6 +22,7 @@ scale is inferred.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -223,7 +224,7 @@ class Shard:
 
 
 def whole_shard(dataset: Dataset, shard_id: int = 0) -> Shard:
-    """The trivial S=1 shard holding every row."""
+    """A shard holding every row: the S=1 shard, or a worker's own rows."""
     return Shard(dataset=dataset, rows=np.arange(dataset.n), shard_id=shard_id)
 
 
@@ -369,14 +370,20 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(float(dataset.y[i]))] + [repr(float(v)) for v in dataset.X[i]])
 
 
-def load_csv(path) -> Dataset:
-    """Read a dataset from CSV; requires a header with y and x1..xp columns."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigurationError(f"{path}: empty CSV") from None
+def load_csv(path, rows: Optional[Sequence[bool]] = None) -> Dataset:
+    """Read a dataset from CSV; requires a header with y and x1..xp columns.
+
+    The file is streamed one line per record; blank lines are skipped.  With
+    ``rows``, a flag per data row (a shard plan's ``assignment == shard_id``),
+    every record is still counted but only flagged ones are converted, in
+    file order; a file with another number of data rows raises DomainError.
+    """
+    keep = None if rows is None else np.asarray(rows, dtype=bool).tolist()
+    # bytes until a record is converted: counting the other rows skips decoding
+    with open(path, "rb") as fh:
+        header = next(csv.reader([fh.readline().decode("utf-8")]), None)
+        if header is None:
+            raise ConfigurationError(f"{path}: empty CSV")
         header = [h.strip() for h in header]
         if "y" not in header:
             raise ConfigurationError(f"{path}: missing outcome column 'y'")
@@ -391,16 +398,25 @@ def load_csv(path) -> Dataset:
         x_pos = [header.index(f"x{j + 1}") for j in range(p)]
         ys = []
         xs = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                ys.append(float(row[y_pos]))
-                xs.append([float(row[j]) for j in x_pos])
-            except (ValueError, IndexError):
-                raise ConfigurationError(
-                    f"{path}: malformed row {len(ys) + 1}: {row!r}"
-                ) from None
+        n_records = 0
+        for block in iter(lambda: fh.readlines(1 << 16), []):
+            records = list(filter(None, map(bytes.rstrip, block)))
+            numbers = range(n_records + 1, n_records + len(records) + 1)
+            n_records += len(records)
+            if keep is not None:
+                flags = keep[numbers.start - 1:n_records]
+                records = itertools.compress(records, flags)
+                numbers = itertools.compress(numbers, flags)
+            for number, row in zip(numbers, csv.reader(map(bytes.decode, records))):
+                try:
+                    ys.append(float(row[y_pos]))
+                    xs.append([float(row[j]) for j in x_pos])
+                except (ValueError, IndexError):
+                    raise ConfigurationError(
+                        f"{path}: malformed row {number}: {row!r}"
+                    ) from None
+    if keep is not None and n_records != len(keep):
+        raise DomainError(f"plan covers {len(keep)} rows, dataset has {n_records}")
     if not ys:
         raise ConfigurationError(f"{path}: no data rows")
     return Dataset(X=np.asarray(xs, dtype=float), y=np.asarray(ys, dtype=float))

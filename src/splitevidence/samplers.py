@@ -16,10 +16,11 @@ Gaussian full conditionals are recorded as a ConditionalGaussianStream.
 Those conditionals carry a constant natural mean vector and a per-draw
 precision matrix, which is all the downstream estimators need.
 
-PG(1, c) variates are drawn exactly with the alternating-series rejection
-sampler of Devroye (mixture of a truncated exponential and a truncated
-inverse-Gaussian proposal, accepted through partial sums of the Jacobi
-series).
+PG(1, c) variates are drawn exactly with Devroye's alternating-series
+rejection sampler (a two-tail proposal accepted through partial sums of the
+Jacobi series).  ``sample_pg_vec`` draws a block of i.i.d. proposals per
+entry in one vectorised pass and keeps the first accepted one; the few
+entries left without one get another pass.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 from scipy.linalg import block_diag, cho_solve, solve_triangular
 from scipy.optimize import minimize
-from scipy.special import expit, log_ndtr
+from scipy.special import expit
 
 from .errors import (
     ConfigurationError,
@@ -52,9 +53,33 @@ from .models import (
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-_TRUNC = 0.64  # split point between the two proposal tails
-_MAX_SERIES_TERMS = 1000
 _BATCH_ROWS = 2_000_000  # cap on rows x draws handled in one likelihood block
+
+# Polya-Gamma proposals.  J = 4 PG(1, c) with z = |c|/2 has the Jacobi
+# density cosh(z) exp(-z^2 x/2) sum_n (-1)^n a_n(x), and a_0 bounds the sum.
+# Proposals come from a mixture of a right tail (x > _TRUNC, exponential)
+# and a left tail (x <= _TRUNC).  On the left, entries with z < _BIG_Z draw
+# 1/sqrt(x) from the normal tail beyond _TAIL with Robert's exponential
+# proposal and accept the exp(-z^2 x/2) tilt in the same test; larger z draw
+# an inverse-Gaussian IG(1/z, 1) and reject x > _TRUNC.  Every test of one
+# proposal is folded into one uniform, so each proposal is a single
+# accept/reject trial and the first accepted one is an exact draw.
+_TRUNC = 0.64  # split point between the two proposal tails
+_TAIL = 1.0 / math.sqrt(_TRUNC)
+_TAIL_RATE = 0.5 * (_TAIL + math.sqrt(_TAIL * _TAIL + 4.0))
+_BIG_Z = 2.5  # z from which the left tail is an inverse-Gaussian proposal
+# Left-tail mass over right-tail mass is fz exp(fz _TRUNC) times _SMALL_W
+# (normal-tail proposal) or times exp(-z) _BIG_W (inverse-Gaussian proposal).
+_SMALL_W = (4.0 / math.pi) / _TAIL_RATE * math.sqrt(2.0 / math.pi) * math.exp(
+    0.5 * _TAIL_RATE * _TAIL_RATE - _TAIL_RATE * _TAIL
+)
+_BIG_W = 4.0 / math.pi
+# a_n / a_0 = (2n + 1) q^(n(n+1)/2) with q = exp(-4/x) on the left and
+# exp(-pi^2 x) on the right, so q <= exp(-4/_TRUNC) and the partial sums
+# after two terms lie within _SERIES_SLACK of 1 - 3q.
+_SERIES_SLACK = 5.0 * math.exp(-12.0 / _TRUNC)
+_PASS_CELLS = 1024  # proposals per pass when few entries are pending
+_MAX_COLS = 8  # proposals per entry and pass
 
 
 # ---------------------------------------------------------------------------
@@ -69,113 +94,92 @@ def pg_mean(c: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     return out if out.ndim else float(out)
 
 
-def _mass_texpon(z: np.ndarray) -> np.ndarray:
-    """Probability of the truncated-exponential branch of the proposal."""
-    t = _TRUNC
-    fz = np.pi**2 / 8.0 + z * z / 2.0
-    b = math.sqrt(1.0 / t) * (t * z - 1.0)
-    a = -math.sqrt(1.0 / t) * (t * z + 1.0)
-    x0 = np.log(fz) + fz * t
-    xb = x0 - z + log_ndtr(b)
-    xa = x0 + z + log_ndtr(a)
-    qdivp = 4.0 / np.pi * (np.exp(xb) + np.exp(xa))
-    return 1.0 / (1.0 + qdivp)
-
-
-def _rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-Gaussian IG(1/z, 1) truncated to (0, TRUNC], vectorized."""
-    t = _TRUNC
-    out = np.empty_like(z)
-    small = z < 1.0 / t
-
-    todo = np.flatnonzero(small)
-    while todo.size:
-        k = todo.size
-        e1 = rng.standard_exponential(k)
-        e2 = rng.standard_exponential(k)
-        ok = e1 * e1 <= 2.0 * e2 / t
-        x = t / (1.0 + t * e1) ** 2
-        alpha = np.exp(-0.5 * (z[todo] ** 2) * x)
-        acc = ok & (rng.random(k) <= alpha)
-        out[todo[acc]] = x[acc]
-        todo = todo[~acc]
-
-    big = np.flatnonzero(~small)
-    if big.size:
-        mu = 1.0 / z[big]
-        rem = np.arange(big.size)
-        vals = np.empty(big.size)
-        while rem.size:
-            m = mu[rem]
-            ysq = rng.standard_normal(rem.size) ** 2
-            my = m * ysq
-            x = m + 0.5 * m * my - 0.5 * m * np.sqrt(my * (4.0 + my))
-            flip = rng.random(rem.size) * (m + x) > m
-            x = np.where(flip, m * m / x, x)
-            acc = x <= t
-            vals[rem[acc]] = x[acc]
-            rem = rem[~acc]
-        out[big] = vals
-    return out
-
-
-def _piecewise_coef(n: int, x: np.ndarray) -> np.ndarray:
-    """n-th Jacobi series coefficient a_n(x), valid on both tails."""
-    half = n + 0.5
-    K = half * np.pi
-    out = np.empty_like(x)
-    left = x <= _TRUNC
-    xl = x[left]
-    out[left] = K * (2.0 / (np.pi * xl)) ** 1.5 * np.exp(-2.0 * half * half / xl)
-    xr = x[~left]
-    out[~left] = K * np.exp(-0.5 * K * K * xr)
-    return out
-
-
-def _series_accept(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Alternating-series accept/reject decision per proposal."""
-    s = _piecewise_coef(0, x)
-    y = rng.random(x.shape[0]) * s
-    accepted = np.zeros(x.shape[0], dtype=bool)
-    open_ = np.arange(x.shape[0])
-    n = 0
-    while open_.size:
+def _series_accepts(u: float, q: float) -> bool:
+    """Finish the alternating series for u > 1 - 3q (u scaled by the other tests)."""
+    s = 1.0 - 3.0 * q
+    n = 1
+    while True:
         n += 1
-        if n > _MAX_SERIES_TERMS:
-            raise EstimatorError("Jacobi series did not resolve acceptance")
-        an = _piecewise_coef(n, x[open_])
-        if n % 2 == 1:
-            s[open_] -= an
-            hit = y[open_] <= s[open_]
-            accepted[open_[hit]] = True
-            open_ = open_[~hit]
+        term = (2 * n + 1) * q ** (n * (n + 1) // 2)
+        if n % 2:
+            s -= term
+            if u <= s:
+                return True
         else:
-            s[open_] += an
-            rej = y[open_] > s[open_]
-            open_ = open_[~rej]
-    return accepted
+            s += term
+            if u > s:
+                return False
+
+
+def _pg_pass(
+    z: np.ndarray, fz: np.ndarray, p_right: np.ndarray, big: bool,
+    rng: np.random.Generator, cols: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``cols`` i.i.d. proposals of J = 4 PG(1, 2z) per entry; the first accepted.
+
+    Returns (accepted, draw) per entry.  Proposal j of entry i is cell
+    (j, i) of each block, so per-entry parameters broadcast along rows.
+    """
+    shape = (cols, z.shape[0])
+    right = rng.random(shape) < p_right
+    e = rng.standard_exponential(shape)
+    if big:
+        mu = 1.0 / z
+        my = mu * rng.standard_normal(shape) ** 2
+        x = 2.0 * mu / (2.0 + my + np.sqrt(my * (4.0 + my)))
+        x = np.where(rng.random(shape) * (mu + x) > mu, mu * mu / x, x)
+        u = np.where(right | (x <= _TRUNC), rng.random(shape), 2.0)
+    else:
+        root = _TAIL + e / _TAIL_RATE  # 1/sqrt(x)
+        x = 1.0 / (root * root)
+        d = root - _TAIL_RATE
+        tilt = np.where(right, 0.0, 0.5 * d * d + (0.5 * z * z) * x)
+        u = rng.random(shape) * np.exp(tilt)
+    x = np.where(right, _TRUNC + e / fz, x)
+    q = np.exp(np.where(right, -(math.pi ** 2) * x, -4.0 / x))
+    s = u + 3.0 * q  # accept when s <= 1, reject when s > 1 + _SERIES_SLACK
+    first = (s <= 1.0 + _SERIES_SLACK).argmax(axis=0)
+    entries = np.arange(shape[1])
+    s_first = s[first, entries]
+    accepted = s_first <= 1.0
+    for i in np.flatnonzero((s_first > 1.0) & (s_first <= 1.0 + _SERIES_SLACK)):
+        accepted[i] = _series_accepts(u[first[i], i], q[first[i], i])
+    return accepted, x[first, entries]
+
+
+def _sample_j(z: np.ndarray, big: bool, rng: np.random.Generator) -> np.ndarray:
+    """J = 4 PG(1, 2z) per entry: passes until every entry has an accepted proposal."""
+    fz = 0.5 * z * z + math.pi ** 2 / 8.0
+    if big:
+        w = _BIG_W * fz * np.exp(np.minimum(fz * _TRUNC - z, 700.0))
+    else:
+        w = _SMALL_W * fz * np.exp(fz * _TRUNC)
+    p_right = 1.0 / (1.0 + w)
+
+    def cols(k):
+        return min(_MAX_COLS, -(-_PASS_CELLS // max(k, 1)))
+
+    accepted, out = _pg_pass(z, fz, p_right, big, rng, cols(z.shape[0]))
+    todo = np.flatnonzero(~accepted)
+    while todo.size:
+        accepted, x = _pg_pass(z[todo], fz[todo], p_right[todo], big, rng, cols(todo.size))
+        out[todo[accepted]] = x[accepted]
+        todo = todo[~accepted]
+    return out
 
 
 def sample_pg_vec(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Exact PG(1, c_i) draw for every entry of c."""
     c = np.asarray(c, dtype=float)
     z = 0.5 * np.abs(c).ravel()
-    fz = np.pi**2 / 8.0 + z * z / 2.0
-    p_exp = _mass_texpon(z)
-    out = np.empty(z.shape[0])
-    todo = np.arange(z.shape[0])
-    while todo.size:
-        k = todo.size
-        use_exp = rng.random(k) < p_exp[todo]
-        x = np.empty(k)
-        n_exp = int(use_exp.sum())
-        if n_exp:
-            x[use_exp] = _TRUNC + rng.standard_exponential(n_exp) / fz[todo[use_exp]]
-        if k - n_exp:
-            x[~use_exp] = _rtigauss(z[todo[~use_exp]], rng)
-        acc = _series_accept(x, rng)
-        out[todo[acc]] = 0.25 * x[acc]
-        todo = todo[~acc]
+    big = z >= _BIG_Z
+    if big.any():
+        out = np.empty(z.shape[0])
+        for group, is_big in ((np.flatnonzero(~big), False), (np.flatnonzero(big), True)):
+            out[group] = _sample_j(z[group], is_big, rng)
+    else:
+        out = _sample_j(z, False, rng)
+    out *= 0.25
     return out.reshape(np.shape(c)) if np.ndim(c) else out
 
 

@@ -424,6 +424,40 @@ class TestWorkerCombineByHand:
         ) == 0
         assert evidence_path.read_bytes() == (out / "evidence.json").read_bytes()
 
+    def test_matches_run_pipeline_conditional(self, logistic_fixture, tmp_path):
+        # each worker parses only its own rows, yet writes the bytes `run` writes
+        out = tmp_path / "auto"
+        flags = ["--mode", "conditional", "--samples", "300", "--burn-in", "50",
+                 "--seed", "4"]
+        assert cli.main(
+            ["run", "--data", logistic_fixture["data"], "--model",
+             logistic_fixture["model"], "--splits", "3", *flags, "--out", str(out)]
+        ) == 0
+        hand = tmp_path / "hand"
+        hand.mkdir()
+        plan_path = hand / "plan.json"
+        assert cli.main(
+            ["shard", "--data", logistic_fixture["data"], "--splits", "3",
+             "--seed", "4", "--out", str(plan_path)]
+        ) == 0
+        results = []
+        for sid in range(3):
+            result_path = hand / f"result_{sid}.json"
+            assert cli.main(
+                ["worker", "--data", logistic_fixture["data"], "--model",
+                 logistic_fixture["model"], "--plan", str(plan_path), "--shard-id",
+                 str(sid), *flags, "--out", str(result_path)]
+            ) == 0
+            results.append(str(result_path))
+            for name in (f"result_{sid}.json", f"cond_{sid}.ndjson"):
+                assert (hand / name).read_bytes() == (out / "m_a" / name).read_bytes()
+        evidence_path = hand / "evidence.json"
+        assert cli.main(
+            ["combine", "--model", logistic_fixture["model"], "--results", *results,
+             "--out", str(evidence_path)]
+        ) == 0
+        assert evidence_path.read_bytes() == (out / "evidence.json").read_bytes()
+
     def test_conditional_flow_round_trips_streams(self, logistic_fixture, tmp_path):
         out = tmp_path / "auto"
         flags = ["--samples", "400", "--burn-in", "100"]
@@ -817,6 +851,39 @@ class TestErrorReporting:
         assert code != 0
         assert _read_error(capsys)["code"] == "E_INPUT"
 
+    @pytest.mark.parametrize(
+        "edit, code, message",
+        [
+            pytest.param(lambda lines: lines + [lines[-1]], "E_DOMAIN",
+                         "plan covers 300 rows, dataset has 301", id="extra-row"),
+            pytest.param(lambda lines: lines[:-1], "E_DOMAIN",
+                         "plan covers 300 rows, dataset has 299", id="missing-row"),
+            pytest.param(lambda lines: ["y,x1,x3\n"] + lines[1:], "E_INPUT",
+                         "feature columns must be x1..x2", id="bad-header"),
+        ],
+    )
+    def test_worker_checks_the_whole_file(
+        self, logistic_fixture, tmp_path, capsys, edit, code, message
+    ):
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(
+            ["shard", "--data", logistic_fixture["data"], "--splits", "2",
+             "--seed", "0", "--out", str(plan_path)]
+        ) == 0
+        with open(logistic_fixture["data"]) as handle:
+            lines = handle.readlines()
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("".join(edit(lines)))
+        assert cli.main(
+            ["worker", "--data", str(data_path), "--model", logistic_fixture["model"],
+             "--plan", str(plan_path), "--shard-id", "1", "--mode", "conditional",
+             "--samples", "100", "--burn-in", "10", "--out", str(tmp_path / "r.json")]
+        ) == 1
+        error = _read_error(capsys)
+        assert error["code"] == code
+        assert message in error["message"]
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_splits_list_in_diagnose(self, tmp_path, capsys):
         code = cli.main(
             [
@@ -845,8 +912,13 @@ class TestErrorReporting:
             ({"splits": "2"}, "bad config value"),
             ({"samples": "x"}, "bad config value"),
             ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
+            ({"seed": -1}, "seed must be non-negative"),
+            (
+                {"mode": "approx", "evidence": "importance", "evidence_samples": 50},
+                "needs evidence_samples >= 100, got 50",
+            ),
         ],
-        ids=["splits", "samples", "strategy"],
+        ids=["splits", "samples", "strategy", "seed", "evidence-samples"],
     )
     def test_bad_config_value(self, conjugate_fixture, tmp_path, capsys, setting, message):
         cfg = tmp_path / "cfg.json"

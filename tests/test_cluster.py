@@ -280,6 +280,16 @@ class TestRunCluster:
         with pytest.raises(WorkerError, match="shard 0"):
             run_cluster(data, plan, model, cfg)
 
+    def test_worker_failure_names_each_shard_once(self):
+        data, model = _logistic_setup()
+        plan = uniform_split(data.X.shape[0], 3, seed=0)
+        with pytest.raises(WorkerError) as info:
+            run_cluster(data, plan, model, RunConfig(mode="exact", seed=0))
+        message = str(info.value)
+        assert message.startswith("3 worker(s) failed: shard 0: ")
+        for sid in range(3):
+            assert message.count(f"shard {sid}:") == 1
+
     def test_conditional_end_to_end(self, tmp_path):
         data, model = _logistic_setup()
         truth, _ = quadrature_subposterior_summary(model, whole_shard(data), 1)

@@ -423,6 +423,48 @@ class TestWireFormats:
         with pytest.raises(ConfigurationError):
             load_csv(path)
 
+    def test_csv_selected_rows_match_full_load(self, tmp_path):
+        # columns out of order, blank lines, and a file of several read blocks
+        rng = np.random.default_rng(3)
+        n = 4000
+        X = rng.normal(size=(n, 2))
+        y = rng.normal(size=n)
+        lines = ["x2,y,x1\n"]
+        for i in range(n):
+            lines.append(",".join(repr(float(v)) for v in (X[i, 1], y[i], X[i, 0])) + "\n")
+            if i % 997 == 0:
+                lines.append("\n")
+        path = tmp_path / "data.csv"
+        path.write_text("".join(lines))
+        assert path.stat().st_size > 3 * (1 << 16)
+        full = load_csv(path)
+        np.testing.assert_array_equal(full.X, X)
+        np.testing.assert_array_equal(full.y, y)
+        masks = [
+            rng.random(n) < 0.1,
+            np.ones(n, dtype=bool),
+            np.arange(n) == 0,
+            np.arange(n) == n - 1,
+            np.arange(n) % 16 == 5,
+        ]
+        for mask in masks:
+            part = load_csv(path, rows=mask)
+            np.testing.assert_array_equal(part.X, full.X[mask])
+            np.testing.assert_array_equal(part.y, full.y[mask])
+
+    def test_csv_selected_rows_count_every_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,x1\n1,2\n\n3,4\n5,oops\n")
+        with pytest.raises(DomainError, match="plan covers 2 rows, dataset has 3"):
+            load_csv(path, rows=[True, True])
+        with pytest.raises(DomainError, match="plan covers 4 rows, dataset has 3"):
+            load_csv(path, rows=[True, True, False, False])
+        # only the selected rows are converted; their numbers count every row
+        part = load_csv(path, rows=[False, True, False])
+        np.testing.assert_array_equal(part.X, [[4.0]])
+        with pytest.raises(ConfigurationError, match="malformed row 3"):
+            load_csv(path, rows=[False, False, True])
+
     def test_model_spec_json_round_trip(self):
         specs = [
             normal_model(np.array([0.0, 1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])),

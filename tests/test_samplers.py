@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from oracle_utils import sample_pg_truncated, sample_pg_truncated_vec
 from splitevidence import (
@@ -21,6 +21,7 @@ from splitevidence import (
     log_subposterior_unnorm,
     whole_shard,
 )
+from splitevidence import samplers as samplers_module
 from splitevidence.models import Shard
 from splitevidence.samplers import (
     Chain,
@@ -110,6 +111,75 @@ class TestPolyaGamma:
     def test_positivity(self):
         rng = np.random.default_rng(8)
         assert np.all(sample_pg_vec(np.linspace(0, 10, 5000), rng) > 0)
+
+    def test_shapes(self):
+        rng = np.random.default_rng(2)
+        assert sample_pg_vec(np.zeros(0), rng).shape == (0,)
+        assert sample_pg_vec(np.ones((3, 4)), rng).shape == (3, 4)
+
+
+def pg_variance(c):
+    """Var PG(1, c) = (sinh c - c) / (4 c^3 cosh^2(c/2)), with the c -> 0 limit 1/24."""
+    if c == 0.0:
+        return 1.0 / 24.0
+    return (math.sinh(c) - c) / (4.0 * c**3 * math.cosh(c / 2.0) ** 2)
+
+
+def _draws_in_batches(c, batch, n_draws, seed):
+    rng = np.random.default_rng(seed)
+    calls = -(-n_draws // batch)
+    return np.concatenate([sample_pg_vec(np.full(batch, c), rng) for _ in range(calls)])
+
+
+def _check_pg_law(x, c, seed):
+    n = x.size
+    mean, var = pg_mean(c), pg_variance(c)
+    assert abs(x.mean() - mean) < 5.0 * math.sqrt(var / n), (x.mean(), mean)
+    centred = x - x.mean()
+    var_se = math.sqrt((np.mean(centred**4) - np.mean(centred**2) ** 2) / n)
+    assert abs(centred.var() - var) < 5.0 * var_se, (centred.var(), var)
+    oracle = sample_pg_truncated_vec(
+        np.full(n, c), np.random.default_rng(seed + 1), n_terms=1000, chunk=2000
+    )
+    assert stats.ks_2samp(x, oracle).pvalue > 1e-3
+
+
+class TestPolyaGammaBatches:
+    """Exactness of the oversampled sampler at the batch sizes PG-Gibbs uses.
+
+    With z = |c|/2: c = 3.2 puts z at 1/0.64, where the two proposal tails
+    meet (the classic switch between the left-tail proposals); c = 5 is
+    z = _BIG_Z, where this sampler switches; c = 8 and 50 use the
+    inverse-Gaussian left tail.
+    """
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 2.0, 3.2, 5.0, 8.0, 50.0])
+    @pytest.mark.parametrize("batch", [1, 40, 625])
+    def test_law_at_batch_size(self, batch, c):
+        n = 2_000 if batch == 1 else 12_000
+        seed = 17 * batch + int(10 * c)
+        _check_pg_law(_draws_in_batches(c, batch, n, seed), c, seed)
+
+    @pytest.mark.parametrize("c", [0.3, 3.2, 8.0])
+    def test_law_with_one_proposal_per_pass(self, monkeypatch, c):
+        # every pass resolves only part of the batch, so most draws come
+        # from the passes over the leftover entries
+        monkeypatch.setattr(samplers_module, "_MAX_COLS", 1)
+        _check_pg_law(_draws_in_batches(c, 625, 12_000, 5), c, 5)
+
+    @pytest.mark.parametrize("c", [0.3, 3.2, 8.0])
+    def test_law_with_every_close_call_on_the_series(self, monkeypatch, c):
+        # a wide slack sends a large share of proposals through the exact
+        # alternating-series loop, which must not change the law
+        monkeypatch.setattr(samplers_module, "_SERIES_SLACK", 0.3)
+        _check_pg_law(_draws_in_batches(c, 625, 12_000, 6), c, 6)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-3, 1.7e-3, 0.05, 0.2])
+    def test_series_decision_matches_the_full_sum(self, q):
+        total = sum((-1) ** n * (2 * n + 1) * q ** (n * (n + 1) // 2) for n in range(60))
+        for u in (1.0 - 3.0 * q + 1e-12, total - 1e-12, total + 1e-12, 1.0):
+            if u > 1.0 - 3.0 * q:
+                assert samplers_module._series_accepts(u, q) == (u <= total)
 
 
 class TestRwmh:
