@@ -21,12 +21,9 @@ from .errors import (
 )
 from .gaussian import (
     GaussianMoments,
-    NaturalGaussian,
     consensus_moments,
-    log_gaussian_product_integral,
-    log_gaussian_product_integral_natural,
-    to_moments,
-    to_natural,
+    log_product_integrals,
+    natural_params,
 )
 from .models import (
     Dataset,

@@ -48,6 +48,7 @@ from .models import (
     ModelSpec,
     NormalPrior,
     Shard,
+    check_compatible,
     log_alpha,
 )
 from .samplers import (
@@ -146,6 +147,7 @@ class WorkerTask:
     stream_path: Optional[str] = None
 
     def __post_init__(self):
+        check_compatible(self.model, self.shard)
         if self.config.mode == "conditional":
             ok = isinstance(self.model.likelihood, LogisticLikelihood) and isinstance(
                 self.model.prior, NormalPrior

@@ -8,7 +8,8 @@ where ev_s is the evidence of shard s under the fractionated prior and
 I_sub is the integral of the product of the S normalized subposterior
 densities.  The estimators below produce the per-shard pieces; I_sub is
 computed either from Gaussian moment summaries (approximate) or from the
-per-draw Gaussian full conditionals of a PG-Gibbs run (conditional).
+per-draw Gaussian full conditionals of a PG-Gibbs run (conditional), in
+both cases by the one kernel ``gaussian.log_product_integrals``.
 All quantities live in the log domain and averages of densities use
 log-sum-exp throughout.
 """
@@ -26,7 +27,8 @@ from .gaussian import (
     GaussianMoments,
     batched_log_normalizer,
     chol_spd,
-    log_gaussian_product_integral,
+    log_product_integrals,
+    natural_params,
 )
 from .models import ModelSpec, Shard
 from .samplers import Chain, ConditionalGaussianStream, SubposteriorDensity
@@ -200,13 +202,10 @@ def laplace_metropolis_log_evidence(
     )
 
 
-def conditional_isub(
-    streams: Sequence[ConditionalGaussianStream],
-    n_draws: Optional[int] = None,
-) -> float:
+def conditional_isub(streams: Sequence[ConditionalGaussianStream]) -> float:
     """log I_sub from per-draw Gaussian full conditionals, paired by draw index.
 
-    For each retained draw n the integral of the product over shards of the
+    For each retained draw the integral of the product over shards of the
     conditional Gaussians is evaluated in closed form; the estimate is the
     log of their average.  The streams must hold the same number of draws.
     Any non-SPD precision record aborts.
@@ -219,31 +218,16 @@ def conditional_isub(
     counts = sorted({s.n_records for s in streams})
     if len(counts) != 1:
         raise DomainError(f"streams hold different numbers of draws {counts}")
-    available = counts[0]
-    if n_draws is None:
-        n_draws = available
-    if not 1 <= n_draws <= available:
-        raise DomainError(
-            f"need 1 <= n_draws <= {available} paired records, got {n_draws}"
-        )
-
-    total = None
-    pooled_lam = None
-    pooled_eta = None
-    for s in streams:
-        xis = batched_log_normalizer(s.eta, s.precisions[:n_draws])
-        total = xis if total is None else total + xis
-        lam = s.precisions[:n_draws]
-        pooled_lam = lam.copy() if pooled_lam is None else pooled_lam + lam
-        pooled_eta = s.eta.copy() if pooled_eta is None else pooled_eta + s.eta
-    xi_pooled = batched_log_normalizer(pooled_eta, pooled_lam)
-    log_integrals = total - xi_pooled
-    return float(logsumexp(log_integrals) - math.log(n_draws))
+    log_integrals = log_product_integrals(
+        np.stack([s.eta for s in streams]), np.stack([s.precisions for s in streams])
+    )
+    return float(logsumexp(log_integrals) - math.log(counts[0]))
 
 
 def approx_isub(moments: Sequence[GaussianMoments]) -> float:
     """log I_sub when every subposterior is summarized by Gaussian moments."""
-    return log_gaussian_product_integral(moments)
+    etas, lams = natural_params(moments)
+    return float(log_product_integrals(etas, lams[:, None])[0])
 
 
 def combine_evidence(

@@ -1,19 +1,22 @@
 """Gaussian moment and natural-parameter algebra.
 
-The combination rules only ever touch Gaussians through two primitives: the
-log normalizing constant of an unnormalized Gaussian given in natural form,
-and conversions between moment form (mean, cov) and natural form
-(eta = cov^-1 mean, lam = cov^-1).  Everything is routed through Cholesky
-factors; no matrix is ever inverted explicitly for a quadratic form.
+Natural form writes a Gaussian density as exp(eta'theta - theta'lam theta/2
++ xi), with lam = cov^-1, eta = cov^-1 mean and xi the log normalizer.  Two
+primitives carry every combination rule: ``batched_log_normalizer`` (xi
+over a stack of precisions) and ``log_product_integrals``, the one kernel
+for the log integral of a product of Gaussians, used for the approximate,
+the conditional and the reversible-jump I_sub alike.  Everything is routed
+through Cholesky factors; no matrix is ever inverted explicitly for a
+quadratic form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
 
 from .errors import DomainError, SpdError
 
@@ -62,120 +65,68 @@ class GaussianMoments:
         return chol_spd(self.cov, what="covariance")
 
 
-@dataclass(eq=False)
-class NaturalGaussian:
-    """Natural parameters (eta, lam) with the cached log normalizer xi.
-
-    The density is exp(eta'theta - theta'lam theta / 2 + xi), so that
-    xi = -(p log 2pi - log|lam| + eta'lam^-1 eta) / 2.
-    """
-
-    eta: np.ndarray
-    lam: np.ndarray
-    xi: float
+def _inverse_and_solve(low: np.ndarray, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(A^-1 symmetrized, A^-1 vec) from the lower Cholesky factor of A."""
+    inv = cho_solve((low, True), np.eye(low.shape[0]))
+    return 0.5 * (inv + inv.T), cho_solve((low, True), vec)
 
 
-def log_normalizer_natural(eta: np.ndarray, lam: np.ndarray) -> float:
-    """xi such that exp(eta'x - x'lam x/2 + xi) integrates to one."""
-    eta = np.asarray(eta, dtype=float)
-    p = eta.shape[0]
-    if p == 0:
-        return 0.0
-    L = chol_spd(lam, what="precision")
-    half = solve_triangular(L, eta, lower=True)
-    logdet_lam = 2.0 * float(np.sum(np.log(np.diag(L))))
-    quad = float(half @ half)
-    return -0.5 * (p * LOG_2PI - logdet_lam + quad)
-
-
-def to_natural(m: GaussianMoments) -> NaturalGaussian:
-    L = m.chol()
-    ident = np.eye(m.dim)
-    lam = cho_solve((L, True), ident)
-    lam = 0.5 * (lam + lam.T)
-    eta = cho_solve((L, True), m.mean)
-    xi = log_normalizer_natural(eta, lam)
-    return NaturalGaussian(eta=eta, lam=lam, xi=xi)
-
-
-def to_moments(n: NaturalGaussian) -> GaussianMoments:
-    L = chol_spd(n.lam, what="precision")
-    ident = np.eye(n.eta.shape[0])
-    cov = cho_solve((L, True), ident)
-    cov = 0.5 * (cov + cov.T)
-    mean = cho_solve((L, True), n.eta)
-    return GaussianMoments(mean=mean, cov=cov)
-
-
-def log_mvn(x: np.ndarray, m: GaussianMoments) -> float:
-    """Log density of N(mean, cov) at x."""
-    L = m.chol()
-    half = solve_triangular(L, np.asarray(x, dtype=float) - m.mean, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * (m.dim * LOG_2PI + logdet + float(half @ half))
-
-
-def log_gaussian_product_integral_natural(etas: np.ndarray, lams: np.ndarray) -> float:
-    """log of the integral of a product of Gaussian densities in natural form.
-
-    ``etas`` has shape (S, p) and ``lams`` shape (S, p, p).  The result is
-    sum_s xi_s - xi_pooled where the pooled parameters are the sums.  For a
-    single factor the pooled parameters coincide with the factor's own, so
-    the result is exactly 0.0.
-    """
-    etas = np.asarray(etas, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    if etas.ndim != 2 or lams.ndim != 3:
-        raise DomainError("expected stacked natural parameters (S,p) and (S,p,p)")
-    if etas.shape[0] == 0:
-        raise DomainError("empty factor list")
-    xi_parts = [log_normalizer_natural(etas[s], lams[s]) for s in range(etas.shape[0])]
-    xi_pooled = log_normalizer_natural(etas.sum(axis=0), lams.sum(axis=0))
-    return float(sum(xi_parts) - xi_pooled)
-
-
-def log_gaussian_product_integral(parts: Sequence[GaussianMoments]) -> float:
-    """log integral of the product of Gaussian densities given in moment form."""
+def natural_params(parts: Sequence[GaussianMoments]) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacked natural parameters: etas (S, p) and lams (S, p, p)."""
     if len(parts) == 0:
         raise DomainError("empty factor list")
     dims = {m.dim for m in parts}
     if len(dims) != 1:
         raise DomainError(f"factors have mixed dimensions {sorted(dims)}")
-    nats = [to_natural(m) for m in parts]
-    etas = np.stack([n.eta for n in nats])
-    lams = np.stack([n.lam for n in nats])
-    return log_gaussian_product_integral_natural(etas, lams)
+    lams, etas = zip(*(_inverse_and_solve(m.chol(), m.mean) for m in parts))
+    return np.stack(etas), np.stack(lams)
 
 
 def consensus_moments(parts: Sequence[GaussianMoments]) -> GaussianMoments:
     """Precision-weighted pooling of per-shard Gaussian moments."""
-    if len(parts) == 0:
-        raise DomainError("empty factor list")
-    dims = {m.dim for m in parts}
-    if len(dims) != 1:
-        raise DomainError(f"factors have mixed dimensions {sorted(dims)}")
-    nats = [to_natural(m) for m in parts]
-    lam = np.sum([n.lam for n in nats], axis=0)
-    eta = np.sum([n.eta for n in nats], axis=0)
-    return to_moments(NaturalGaussian(eta=eta, lam=lam, xi=0.0))
+    etas, lams = natural_params(parts)
+    low = chol_spd(lams.sum(axis=0), what="precision")
+    cov, mean = _inverse_and_solve(low, etas.sum(axis=0))
+    return GaussianMoments(mean=mean, cov=cov)
 
 
 def batched_log_normalizer(eta: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """log_normalizer_natural over a stack of precisions sharing one eta.
+    """xi such that exp(eta'x - x'lam x/2 + xi) integrates to one, per precision.
 
-    ``eta`` has shape (p,) and ``lams`` shape (N, p, p); returns shape (N,).
-    Used on conditional Gaussian streams where eta is constant over draws.
+    ``lams`` has shape (..., p, p) and ``eta`` broadcasts against (..., p);
+    returns shape (...).  A non-SPD precision raises SpdError naming its
+    index.
     """
     lams = np.asarray(lams, dtype=float)
-    n, p, _ = lams.shape
+    p = lams.shape[-1]
     try:
         chols = np.linalg.cholesky(lams)
     except np.linalg.LinAlgError:
-        for i in range(n):
-            chol_spd(lams[i], what=f"precision record {i}")
+        for idx in np.ndindex(lams.shape[:-2]):
+            chol_spd(lams[idx], what=f"precision record {','.join(map(str, idx))}")
         raise
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    rhs = np.broadcast_to(eta, (n, p))[..., None]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
+    rhs = np.broadcast_to(eta, lams.shape[:-1])[..., None]
     half = np.linalg.solve(chols, rhs)[..., 0]
-    quad = np.einsum("np,np->n", half, half)
+    quad = np.einsum("...p,...p->...", half, half)
     return -0.5 * (p * LOG_2PI - logdet + quad)
+
+
+def log_product_integrals(etas: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """log of the integral of a product of S Gaussians, for each of N draws.
+
+    ``etas`` (S, p) holds one natural mean per factor and ``lams``
+    (S, N, p, p) the factors' precisions, paired by draw.  Returns the N
+    values sum_s xi(eta_s, lam_sn) - xi(sum_s eta_s, sum_s lam_sn).  The
+    factors and the pooled Gaussian share one normalizer call, so a single
+    factor gives exactly 0.0.
+    """
+    etas = np.asarray(etas, dtype=float)
+    lams = np.asarray(lams, dtype=float)
+    if etas.ndim != 2 or lams.ndim != 4 or not 0 < etas.shape[0] == lams.shape[0]:
+        raise DomainError("expected stacked natural parameters (S,p) and (S,N,p,p), S >= 1")
+    xis = batched_log_normalizer(
+        np.concatenate([etas, etas.sum(axis=0, keepdims=True)])[:, None, :],
+        np.concatenate([lams, lams.sum(axis=0, keepdims=True)]),
+    )
+    return xis[:-1].sum(axis=0) - xis[-1]

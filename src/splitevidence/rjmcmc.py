@@ -21,12 +21,14 @@ import numpy as np
 from scipy.special import betaln, gammaln
 
 from .errors import DecodeError, DomainError, UnexploredModelError
-from .gaussian import GaussianMoments, chol_spd, log_gaussian_product_integral
+from .evidence import approx_isub
+from .gaussian import GaussianMoments, chol_spd
 from .models import (
     LaplacePrior,
     ModelSpec,
     NormalPrior,
     Shard,
+    check_compatible,
     log_alpha,
 )
 from .samplers import laplace_fit, subposterior_closure
@@ -276,16 +278,15 @@ def rjmcmc_sample(
     seed: int = 0,
     model_prior: ModelPrior = BetaBinomialPrior(),
     min_visits: int = 500,
-    init_active: Optional[Sequence[int]] = None,
 ) -> RJOutput:
     """Explore models and coefficients jointly on one shard.
 
-    Each iteration applies one within-model random-walk update (skipped
-    for the empty model) and one birth/death jump that toggles a uniformly
-    chosen feature, the entering coefficient drawn from its subprior
-    marginal.  Sojourn counts and per-model moments accumulate after
-    burn-in; moments are kept only for models visited at least
-    ``min_visits`` times.
+    The chain starts in the full model.  Each iteration applies one
+    within-model random-walk update (skipped for the empty model) and one
+    birth/death jump that toggles a uniformly chosen feature, the entering
+    coefficient drawn from its subprior marginal.  Sojourn counts and
+    per-model moments accumulate after burn-in; moments are kept only for
+    models visited at least ``min_visits`` times.
     """
     p = base.dim
     if p > MAX_FEATURES:
@@ -294,6 +295,7 @@ def rjmcmc_sample(
         raise DomainError("the base model must include every feature")
     if not 0 <= burn_in < n_iter:
         raise DomainError("need 0 <= burn_in < n_iter")
+    check_compatible(base, shard)
 
     cache = _ModelCache(base, shard, n_splits)
     size_log_prior = np.array(
@@ -301,10 +303,7 @@ def rjmcmc_sample(
     )
     marginals = [_coef_marginal(base, j, n_splits) for j in range(p)]
 
-    if init_active is None:
-        active = tuple(range(p))
-    else:
-        active = ModelIndicator(tuple(init_active), p).active
+    active = tuple(range(p))
     entry = cache.entry(active)
     theta = entry["start"].copy()
     log_target = entry["target"](theta)
@@ -402,11 +401,10 @@ def model_posterior_odds(
     out: RJOutput,
     first: ModelIndicator,
     second: ModelIndicator,
-    min_count: int = 1,
 ) -> float:
     """log of the sojourn-frequency ratio, the posterior odds estimate."""
-    c1 = _require_visits(out, first, max(min_count, 1), "in this run")
-    c2 = _require_visits(out, second, max(min_count, 1), "in this run")
+    c1 = _require_visits(out, first, 1, "in this run")
+    c2 = _require_visits(out, second, 1, "in this run")
     return math.log(c1) - math.log(c2)
 
 
@@ -415,10 +413,9 @@ def model_log_bf(
     first: ModelIndicator,
     second: ModelIndicator,
     model_prior: ModelPrior = BetaBinomialPrior(),
-    min_count: int = 1,
 ) -> float:
     """Prior-corrected sojourn odds: the local Bayes factor estimate."""
-    odds = model_posterior_odds(out, first, second, min_count)
+    odds = model_posterior_odds(out, first, second)
     p = out.n_features
     return odds + model_prior.log_prob(second.size, p) - model_prior.log_prob(
         first.size, p
@@ -470,9 +467,9 @@ def distributed_log_bf(
 
     total += n_splits * (log_alpha(spec1, n_splits) - log_alpha(spec2, n_splits))
     if moments1:
-        total += log_gaussian_product_integral(moments1)
+        total += approx_isub(moments1)
     if moments2:
-        total -= log_gaussian_product_integral(moments2)
+        total -= approx_isub(moments2)
     return total
 
 

@@ -180,12 +180,12 @@ def sample_pg_vec(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     else:
         out = _sample_j(z, False, rng)
     out *= 0.25
-    return out.reshape(np.shape(c)) if np.ndim(c) else out
+    return out.reshape(np.shape(c))
 
 
 def sample_pg(c: float, rng: np.random.Generator) -> float:
     """One exact PG(1, c) draw."""
-    return float(sample_pg_vec(np.array([c]), rng)[0])
+    return float(sample_pg_vec(c, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +393,10 @@ def subposterior_closure(model: ModelSpec, shard: Shard, n_splits: int) -> Subpo
 # ---------------------------------------------------------------------------
 # Random-walk Metropolis with burn-in-only adaptation.
 
+_RWMH_ADAPT_INTERVAL = 100  # burn-in iterations between proposal refits
+_RWMH_TARGET_ACCEPT = 0.234  # Robbins-Monro target for the step scale
+
+
 def rwmh_chain(
     log_target: Callable[[np.ndarray], float],
     init: np.ndarray,
@@ -400,8 +404,6 @@ def rwmh_chain(
     burn_in: int = 2_000,
     seed: int = 0,
     init_cov: Optional[np.ndarray] = None,
-    adapt_interval: int = 100,
-    target_accept: float = 0.234,
 ) -> Chain:
     """Gaussian random-walk Metropolis.
 
@@ -450,7 +452,7 @@ def rwmh_chain(
             fx = fp
         if t < burn_in:
             acc_prob = math.exp(min(log_ratio, 0.0)) if np.isfinite(log_ratio) else 0.0
-            log_step += (acc_prob - target_accept) / (t + 1) ** 0.6
+            log_step += (acc_prob - _RWMH_TARGET_ACCEPT) / (t + 1) ** 0.6
             if t == restart_at:
                 mean = x.copy()
                 m2 = np.zeros((d, d))
@@ -460,7 +462,7 @@ def rwmh_chain(
                 delta = x - mean
                 mean = mean + delta / count
                 m2 = m2 + np.outer(delta, x - mean)
-            if (t + 1) % adapt_interval == 0 and count > 2 * d:
+            if (t + 1) % _RWMH_ADAPT_INTERVAL == 0 and count > 2 * d:
                 cov = m2 / (count - 1)
                 cov = 0.5 * (cov + cov.T)
                 try:

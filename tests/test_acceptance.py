@@ -38,7 +38,6 @@ from splitevidence import (
     importance_log_evidence,
     laplace_fit,
     laplace_metropolis_log_evidence,
-    log_gaussian_product_integral,
     make_synthetic,
     model_log_bf,
     pg_gibbs_logistic,
@@ -147,13 +146,13 @@ def test_product_integral_matches_quadrature():
             GaussianMoments(mean=np.array([m]), cov=np.array([[sd**2]]))
             for m, sd in zip(means, sds)
         ]
-        got = log_gaussian_product_integral(parts)
+        got = approx_isub(parts)
         want = quad_log_product_of_normals_1d(means, sds)
         # relative error of the integral itself, not of its log
         worst = max(worst, abs(math.expm1(got - want)))
     assert worst < 1e-8, f"worst relative error {worst:.3e}"
     one = GaussianMoments(mean=np.array([0.3]), cov=np.array([[0.7]]))
-    assert log_gaussian_product_integral([one]) == 0.0
+    assert approx_isub([one]) == 0.0
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     _report(

@@ -884,6 +884,55 @@ class TestErrorReporting:
         assert message in error["message"]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "worker", "rjmcmc"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            pytest.param("outcome", "logistic outcome must be coded 0/1", id="outcome"),
+            pytest.param("features", "expects 3 features, data has 2", id="features"),
+        ],
+    )
+    def test_model_must_fit_its_data(
+        self, logistic_fixture, tmp_path, capsys, command, case, message
+    ):
+        if case == "outcome":
+            # a logistic model over a continuous outcome
+            rng = np.random.default_rng(5)
+            X = rng.standard_normal((300, 2))
+            data_path = str(tmp_path / "linear.csv")
+            save_csv(Dataset(X=X, y=X @ np.array([0.5, -0.2]) + 1.5), data_path)
+            model_path = logistic_fixture["model"]
+        else:
+            data_path = logistic_fixture["data"]
+            with open(logistic_fixture["model"]) as handle:
+                spec = model_spec_from_json(handle.read())
+            wide = replace(
+                spec, dim=3, prior=NormalPrior(mean=np.zeros(3), cov=np.eye(3))
+            )
+            model_path = str(tmp_path / "model_wide.json")
+            with open(model_path, "w") as handle:
+                handle.write(model_spec_to_json(wide))
+        out = str(tmp_path / "out")
+        chain = ["--samples", "100", "--burn-in", "10"]
+        if command == "worker":
+            plan_path = str(tmp_path / "plan.json")
+            assert cli.main(
+                ["shard", "--data", data_path, "--splits", "2", "--seed", "0",
+                 "--out", plan_path]
+            ) == 0
+            flags = ["worker", "--plan", plan_path, "--shard-id", "0", *chain]
+        else:
+            flags = [command, "--splits", "2", *chain]
+        if command == "rjmcmc":
+            flags += ["--min-visits", "1"]
+        code = cli.main(
+            flags + ["--data", data_path, "--model", model_path, "--out", out]
+        )
+        assert code == 1
+        error = _read_error(capsys)
+        assert error["code"] == "E_INPUT"
+        assert message in error["message"]
+
     def test_bad_splits_list_in_diagnose(self, tmp_path, capsys):
         code = cli.main(
             [

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -216,11 +217,12 @@ class TestEpsilonMetrics:
         assert pair.eps1 == abs(x - y)
         if x != y:
             assert pair.eps2 <= max(x, y)
-            linear_gap = abs(math.exp(x) - math.exp(y))
-            if linear_gap > 0.0:
-                # direct linear-domain check, valid when it does not underflow
-                direct = math.log(linear_gap)
-                assert pair.eps2 == pytest.approx(direct, rel=1e-6, abs=1e-9)
+            # direct linear-domain check in 400-digit decimal arithmetic:
+            # a float gap down to 5e-324 stays resolved next to exp(50)
+            with decimal.localcontext(decimal.Context(prec=400)):
+                gap = abs(decimal.Decimal(x).exp() - decimal.Decimal(y).exp())
+                direct = float(gap.ln())
+            assert pair.eps2 == pytest.approx(direct, rel=1e-6, abs=1e-9)
         # symmetry in the two arguments
         mirror = epsilon_metrics(y, x, n_splits)
         assert mirror.eps1 == pair.eps1

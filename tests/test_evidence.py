@@ -234,19 +234,6 @@ class TestConditionalIsub:
         got = conditional_isub(streams)
         assert abs(got - truth) < 0.05
 
-    def test_n_draws_subset(self):
-        rng = np.random.default_rng(0)
-        precs = 1.0 + rng.random((6, 1, 1))
-        s1 = ConditionalGaussianStream(eta=np.array([0.3]), precisions=precs)
-        s2 = ConditionalGaussianStream(eta=np.array([-0.1]), precisions=precs[::-1].copy())
-        full = conditional_isub([s1, s2])
-        partial = conditional_isub([s1, s2], n_draws=3)
-        assert full != partial
-        with pytest.raises(DomainError):
-            conditional_isub([s1, s2], n_draws=7)
-        with pytest.raises(DomainError):
-            conditional_isub([s1, s2], n_draws=0)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             conditional_isub([])

@@ -1,8 +1,9 @@
 """Tests for Gaussian moment/natural-parameter algebra.
 
-The product-of-Gaussians integral is the workhorse of the approximate
-combination rule; it is checked here against adaptive quadrature and against
-hand closed forms, including the exactness requirement at a single factor.
+The product-of-Gaussians integral is the workhorse of every combination
+rule; it is checked here against adaptive quadrature and against hand closed
+forms, including the exactness requirement at a single factor, and its
+batched per-draw form against one call per draw.
 """
 import math
 
@@ -17,15 +18,13 @@ from oracle_utils import quad_log_product_of_normals_1d
 from splitevidence import (
     DomainError,
     GaussianMoments,
-    NaturalGaussian,
     SpdError,
+    approx_isub,
     consensus_moments,
-    log_gaussian_product_integral,
-    log_gaussian_product_integral_natural,
-    to_moments,
-    to_natural,
+    log_product_integrals,
+    natural_params,
 )
-from splitevidence.gaussian import batched_log_normalizer, chol_spd, log_mvn
+from splitevidence.gaussian import batched_log_normalizer, chol_spd
 
 
 def random_spd(rng, p, scale=1.0):
@@ -33,33 +32,46 @@ def random_spd(rng, p, scale=1.0):
     return scale * (a @ a.T + p * np.eye(p))
 
 
+def closed_form_log_normalizer(eta, lam):
+    """xi = -(p log 2pi - log|lam| + eta' lam^-1 eta) / 2 by slogdet and solve."""
+    sign, logdet = np.linalg.slogdet(lam)
+    assert sign > 0
+    quad = float(eta @ np.linalg.solve(lam, eta))
+    return -0.5 * (eta.shape[0] * math.log(2 * math.pi) - logdet + quad)
+
+
 class TestNaturalConversion:
     def test_frozen_scalar_example(self):
-        nat = to_natural(GaussianMoments(mean=[2.0], cov=[[4.0]]))
-        np.testing.assert_allclose(nat.eta, [0.5], rtol=1e-14)
-        np.testing.assert_allclose(nat.lam, [[0.25]], rtol=1e-14)
+        etas, lams = natural_params([GaussianMoments(mean=[2.0], cov=[[4.0]])])
+        np.testing.assert_allclose(etas, [[0.5]], rtol=1e-14)
+        np.testing.assert_allclose(lams, [[[0.25]]], rtol=1e-14)
         # xi = -(log 2pi - log 0.25 + 1)/2
         expected_xi = -0.5 * (math.log(2 * math.pi) - math.log(0.25) + 1.0)
-        np.testing.assert_allclose(nat.xi, expected_xi, rtol=1e-14)
+        np.testing.assert_allclose(
+            batched_log_normalizer(etas[0], lams), [expected_xi], rtol=1e-14
+        )
 
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, seed, p):
+        # pooling a single factor goes to natural form and back
         rng = np.random.default_rng(seed)
         m = GaussianMoments(mean=rng.normal(size=p), cov=random_spd(rng, p))
-        back = to_moments(to_natural(m))
+        back = consensus_moments([m])
         np.testing.assert_allclose(back.mean, m.mean, atol=1e-10)
         np.testing.assert_allclose(back.cov, m.cov, atol=1e-10)
 
-    def test_log_mvn_matches_scipy(self):
-        rng = np.random.default_rng(11)
-        m = GaussianMoments(mean=rng.normal(size=3), cov=random_spd(rng, 3))
-        x = rng.normal(size=3)
-        np.testing.assert_allclose(
-            log_mvn(x, m),
-            stats.multivariate_normal(mean=m.mean, cov=m.cov).logpdf(x),
-            rtol=1e-12,
-        )
+    def test_stacked_shapes(self):
+        rng = np.random.default_rng(4)
+        parts = [
+            GaussianMoments(mean=rng.normal(size=3), cov=random_spd(rng, 3))
+            for _ in range(5)
+        ]
+        etas, lams = natural_params(parts)
+        assert etas.shape == (5, 3) and lams.shape == (5, 3, 3)
+        for m, eta, lam in zip(parts, etas, lams):
+            np.testing.assert_allclose(lam, np.linalg.inv(m.cov), rtol=1e-10)
+            np.testing.assert_allclose(eta, np.linalg.solve(m.cov, m.mean), rtol=1e-10)
 
 
 class TestProductIntegral:
@@ -69,15 +81,15 @@ class TestProductIntegral:
             GaussianMoments(mean=[2.0], cov=[[1.0]]),
         ]
         expected = stats.norm.logpdf(2.0, loc=0.0, scale=math.sqrt(2.0))
-        np.testing.assert_allclose(
-            log_gaussian_product_integral(parts), expected, rtol=1e-13
-        )
+        np.testing.assert_allclose(approx_isub(parts), expected, rtol=1e-13)
 
     def test_single_factor_is_exactly_zero(self):
         rng = np.random.default_rng(0)
         for p in (1, 3):
             m = GaussianMoments(mean=rng.normal(size=p), cov=random_spd(rng, p))
-            assert log_gaussian_product_integral([m]) == 0.0
+            assert approx_isub([m]) == 0.0
+            lams = np.stack([random_spd(rng, p) for _ in range(7)])[None]
+            assert np.all(log_product_integrals(rng.normal(size=(1, p)), lams) == 0.0)
 
     @pytest.mark.parametrize("n_parts", [2, 3, 5])
     def test_matches_quadrature_1d(self, n_parts):
@@ -89,7 +101,7 @@ class TestProductIntegral:
                 GaussianMoments(mean=[m], cov=[[s**2]]) for m, s in zip(means, sds)
             ]
             expected = quad_log_product_of_normals_1d(means, sds)
-            got = log_gaussian_product_integral(parts)
+            got = approx_isub(parts)
             assert abs(got - expected) < 1e-9
 
     def test_two_identical_bivariate_normals(self):
@@ -97,9 +109,7 @@ class TestProductIntegral:
         mu = np.array([0.7, -0.2])
         parts = [GaussianMoments(mean=mu, cov=np.eye(2))] * 2
         expected = -math.log(4 * math.pi)
-        np.testing.assert_allclose(
-            log_gaussian_product_integral(parts), expected, rtol=1e-13
-        )
+        np.testing.assert_allclose(approx_isub(parts), expected, rtol=1e-13)
 
     def test_mixed_dimensions_rejected(self):
         parts = [
@@ -107,28 +117,48 @@ class TestProductIntegral:
             GaussianMoments(mean=[0.0, 0.0], cov=np.eye(2)),
         ]
         with pytest.raises(DomainError):
-            log_gaussian_product_integral(parts)
+            approx_isub(parts)
+        with pytest.raises(DomainError):
+            consensus_moments(parts)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            log_gaussian_product_integral([])
+            approx_isub([])
+        with pytest.raises(DomainError):
+            consensus_moments([])
+        with pytest.raises(DomainError):
+            log_product_integrals(np.zeros((0, 2)), np.zeros((0, 1, 2, 2)))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_natural_and_moment_forms_agree(self, seed):
+        # the kernel on natural parameters inverted here by numpy matches
+        # approx_isub on the moments
         rng = np.random.default_rng(seed)
         p, S = 3, 4
         parts = [
             GaussianMoments(mean=rng.normal(size=p), cov=random_spd(rng, p))
             for _ in range(S)
         ]
-        nats = [to_natural(m) for m in parts]
-        via_natural = log_gaussian_product_integral_natural(
-            np.stack([n.eta for n in nats]), np.stack([n.lam for n in nats])
+        lams = np.stack([np.linalg.inv(m.cov) for m in parts])
+        etas = np.einsum("sij,sj->si", lams, np.stack([m.mean for m in parts]))
+        via_natural = log_product_integrals(etas, lams[:, None])
+        assert via_natural.shape == (1,)
+        np.testing.assert_allclose(approx_isub(parts), via_natural[0], rtol=1e-10)
+
+    @given(seed=st.integers(0, 10_000), n_parts=st.integers(1, 6), p=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_single_draw_calls(self, seed, n_parts, p):
+        rng = np.random.default_rng(seed)
+        n_draws = 6
+        etas = rng.normal(size=(n_parts, p))
+        lams = np.stack(
+            [[random_spd(rng, p) for _ in range(n_draws)] for _ in range(n_parts)]
         )
-        np.testing.assert_allclose(
-            log_gaussian_product_integral(parts), via_natural, rtol=1e-10
-        )
+        batch = log_product_integrals(etas, lams)
+        assert batch.shape == (n_draws,)
+        single = [log_product_integrals(etas, lams[:, n : n + 1])[0] for n in range(n_draws)]
+        np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)
 
 
 class TestConsensus:
@@ -176,9 +206,7 @@ class TestBatchedNormalizer:
         eta = rng.normal(size=p)
         lams = np.stack([random_spd(rng, p) for _ in range(n)])
         batch = batched_log_normalizer(eta, lams)
-        from splitevidence.gaussian import log_normalizer_natural
-
-        loop = [log_normalizer_natural(eta, lams[i]) for i in range(n)]
+        loop = [closed_form_log_normalizer(eta, lams[i]) for i in range(n)]
         np.testing.assert_allclose(batch, loop, rtol=1e-11)
 
     def test_non_spd_record_aborts(self):

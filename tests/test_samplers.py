@@ -116,6 +116,8 @@ class TestPolyaGamma:
         rng = np.random.default_rng(2)
         assert sample_pg_vec(np.zeros(0), rng).shape == (0,)
         assert sample_pg_vec(np.ones((3, 4)), rng).shape == (3, 4)
+        assert sample_pg_vec(1.0, rng).shape == ()
+        assert sample_pg_vec(np.float64(3.0), rng).shape == ()
 
 
 def pg_variance(c):
