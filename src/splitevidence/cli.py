@@ -23,12 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import cluster
+from . import cluster, wire
 from .diagnostics import SCENARIOS, make_synthetic
 from .errors import (
     CombinationError,
     ConfigurationError,
-    DecodeError,
     DomainError,
     EstimatorError,
     QuadratureError,
@@ -61,7 +60,7 @@ _CONFIG_KEYS = ("data", "models", "out", *_RUN_DEFAULTS, *_RUN_FIELDS)
 
 
 def _error_code(exc: Exception) -> str:
-    if isinstance(exc, (ConfigurationError, DecodeError, FileNotFoundError)):
+    if isinstance(exc, (ConfigurationError, FileNotFoundError)):
         return "E_INPUT"
     if isinstance(exc, WorkerError):
         return "E_WORKER"
@@ -96,6 +95,8 @@ def _load_models(paths: Sequence[str]) -> List[ModelSpec]:
 def _build_plan(data, splits: int, strategy: str, kmeans_k: int, seed: int) -> ShardPlan:
     if splits < 1:
         raise ConfigurationError("splits must be at least 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     if strategy not in STRATEGIES:
         raise ConfigurationError(f"unknown strategy {strategy!r}")
     if strategy == "uniform":
@@ -140,7 +141,7 @@ def _evidence_json(
         ],
         "posterior_probs": [_f(v) for v in comparison.posterior_probs],
     }
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return wire.dumps(obj)
 
 
 def _opt_float(value) -> str:
@@ -199,6 +200,8 @@ def _print_summary(
             f"model {model_id}: log evidence {est.log_value:.6f} "
             f"({se}) posterior prob {prob:.6f}"
         )
+        if est.warnings:
+            print(f"model {model_id}: warnings {', '.join(est.warnings)}")
     best = comparison.model_ids[int(np.argmax(comparison.posterior_probs))]
     print(f"preferred model: {best}")
 
@@ -301,12 +304,7 @@ def _merge_run_config(args) -> Dict[str, object]:
     merged: Dict[str, object] = dict(_RUN_DEFAULTS)
     if args.config is not None:
         with open(args.config) as handle:
-            try:
-                loaded = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"config file is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise ConfigurationError("config file must hold a JSON object")
+            loaded = wire.loads(handle.read(), "config file").obj
         unknown = sorted(set(loaded) - set(_CONFIG_KEYS))
         if unknown:
             raise ConfigurationError(f"unknown config key(s): {unknown}")
@@ -427,7 +425,7 @@ def _cmd_rjmcmc(args) -> int:
     }
     summary_path = os.path.join(args.out, "rj_summary.json")
     with open(summary_path, "w") as handle:
-        handle.write(json.dumps(summary, separators=(",", ":")) + "\n")
+        handle.write(wire.dumps(summary))
     print(f"wrote {summary_path}")
     for key, value in log_bf.items():
         print(f"log BF {key}: {value:.4f}")

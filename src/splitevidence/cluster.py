@@ -8,13 +8,11 @@ fans out, waits, and combines.  Approx-mode payloads are O(p^2) per worker
 regardless of shard size or chain length; conditional-mode payloads grow
 as O(N p^2) with the chain length N.
 
-Results serialize to a canonical JSON form (fixed key order, shortest
-round-trip floats, trailing newline) so identical runs are byte-identical.
+Results serialize to one canonical ``wire`` line with a fixed key order,
+so identical runs are byte-identical.
 """
 from __future__ import annotations
 
-import json
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -22,12 +20,12 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from . import wire
 from .errors import (
     CombinationError,
     ConfigurationError,
     DecodeError,
     SchemaVersionError,
-    SpdError,
     WorkerError,
 )
 from .evidence import (
@@ -37,10 +35,11 @@ from .evidence import (
     chib_log_evidence,
     combine_evidence,
     conditional_isub,
+    ess_warnings,
     importance_log_evidence,
     laplace_metropolis_log_evidence,
 )
-from .gaussian import GaussianMoments, chol_spd
+from .gaussian import GaussianMoments
 from .models import (
     Dataset,
     LinearKnownVar,
@@ -185,26 +184,10 @@ class WorkerResult:
     )
 
     def __eq__(self, other):
+        """Equal when the canonical encodings are; the in-memory stream is not compared."""
         if not isinstance(other, WorkerResult):
             return NotImplemented
-        return (
-            self.schema_version == other.schema_version
-            and self.shard_id == other.shard_id
-            and self.model_id == other.model_id
-            and self.n_obs == other.n_obs
-            and self.dim == other.dim
-            and self.n_splits == other.n_splits
-            and self.n_samples == other.n_samples
-            and self.seed == other.seed
-            and np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.cov, other.cov)
-            and self.evidence_method == other.evidence_method
-            and self.log_local_evidence == other.log_local_evidence
-            and self.evidence_std_err == other.evidence_std_err
-            and self.acceptance_rate == other.acceptance_rate
-            and self.ess == other.ess
-            and self.conditional_stream_path == other.conditional_stream_path
-        )
+        return encode_worker_result(self) == encode_worker_result(other)
 
     def moments(self) -> GaussianMoments:
         return GaussianMoments(mean=self.mean, cov=self.cov)
@@ -216,6 +199,7 @@ class WorkerResult:
             method=self.evidence_method,
             n_samples_used=self.n_samples,
             ess=self.ess,
+            warnings=ess_warnings(self.ess),
         )
 
 
@@ -461,26 +445,9 @@ def combine_worker_results(
 # ---------------------------------------------------------------------------
 # canonical serialization
 
-_RESULT_KEYS = (
-    "schema_version",
-    "shard_id",
-    "model_id",
-    "n_obs",
-    "dim",
-    "n_splits",
-    "n_samples",
-    "seed",
-    "mean",
-    "cov_row_major",
-    "log_local_evidence",
-    "acceptance_rate",
-    "ess",
-    "conditional_stream_path",
-)
-
 
 def encode_worker_result(result: WorkerResult) -> bytes:
-    """Canonical JSON bytes: fixed key order, repr floats, trailing newline."""
+    """The canonical ``wire`` line of a result, in its fixed key order."""
     obj = {
         "schema_version": result.schema_version,
         "shard_id": result.shard_id,
@@ -505,111 +472,35 @@ def encode_worker_result(result: WorkerResult) -> bytes:
         "ess": None if result.ess is None else float(result.ess),
         "conditional_stream_path": result.conditional_stream_path,
     }
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def _expect(obj, key, kinds, what):
-    if key not in obj:
-        raise DecodeError(f"{what} missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds):
-        raise DecodeError(f"{what} key {key!r} has wrong type {type(value).__name__}")
-    return value
+    return wire.dumps(obj).encode("utf-8")
 
 
 def decode_worker_result(payload: bytes) -> WorkerResult:
-    try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DecodeError(f"worker result is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DecodeError("worker result must be a JSON object")
-    version = _expect(obj, "schema_version", int, "worker result")
+    doc = wire.loads(payload, "worker result")
+    version = doc.integer("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}"
         )
-    missing = [k for k in _RESULT_KEYS if k not in obj]
-    if missing:
-        raise DecodeError(f"worker result missing keys {missing}")
-
-    shard_id = _expect(obj, "shard_id", int, "worker result")
-    model_id = _expect(obj, "model_id", str, "worker result")
-    n_obs = _expect(obj, "n_obs", int, "worker result")
-    dim = _expect(obj, "dim", int, "worker result")
-    n_splits = _expect(obj, "n_splits", int, "worker result")
-    n_samples = _expect(obj, "n_samples", int, "worker result")
-    seed = _expect(obj, "seed", int, "worker result")
-    if n_obs < 1:
-        raise DecodeError("worker result n_obs must be at least 1")
-    if dim < 1:
-        raise DecodeError("worker result dim must be at least 1")
-
-    mean = _expect(obj, "mean", list, "worker result")
-    cov_flat = _expect(obj, "cov_row_major", list, "worker result")
-    if len(mean) != dim:
-        raise DecodeError(f"mean has {len(mean)} entries, expected {dim}")
-    if len(cov_flat) != dim * dim:
-        raise DecodeError(
-            f"cov_row_major has {len(cov_flat)} entries, expected {dim * dim}"
-        )
-    try:
-        mean_arr = np.array([float(v) for v in mean])
-        cov_arr = np.array([float(v) for v in cov_flat]).reshape(dim, dim)
-    except (TypeError, ValueError) as exc:
-        raise DecodeError(f"non-numeric moment entry: {exc}") from exc
-    if not np.all(np.isfinite(mean_arr)) or not np.all(np.isfinite(cov_arr)):
-        raise DecodeError("moments contain non-finite values")
-    try:
-        chol_spd(cov_arr, what="decoded covariance")
-    except SpdError as exc:
-        raise DecodeError(f"worker result covariance rejected: {exc}") from exc
-
-    ev = _expect(obj, "log_local_evidence", dict, "worker result")
-    for key in ("method", "value", "std_err"):
-        if key not in ev:
-            raise DecodeError(f"log_local_evidence missing key {key!r}")
-    method = ev["method"]
-    if method not in EVIDENCE_METHODS + ("exact",):
-        raise DecodeError(f"unknown local evidence method {method!r}")
-    value = ev["value"]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise DecodeError("log_local_evidence value must be a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise DecodeError("log_local_evidence value must be finite")
-    std_err = ev["std_err"]
-    if std_err is not None and (
-        not isinstance(std_err, (int, float)) or isinstance(std_err, bool)
-    ):
-        raise DecodeError("log_local_evidence std_err must be a number or null")
-
-    acceptance = obj["acceptance_rate"]
-    if acceptance is not None and not isinstance(acceptance, (int, float)):
-        raise DecodeError("acceptance_rate must be a number or null")
-    ess = obj["ess"]
-    if ess is not None and not isinstance(ess, (int, float)):
-        raise DecodeError("ess must be a number or null")
-    stream_path = obj["conditional_stream_path"]
-    if stream_path is not None and not isinstance(stream_path, str):
-        raise DecodeError("conditional_stream_path must be a string or null")
-
+    dim = doc.integer("dim", minimum=1)
+    mean, cov = doc.gaussian("mean", "cov_row_major", dim)
+    evidence = doc.sub("log_local_evidence")
     return WorkerResult(
-        shard_id=shard_id,
-        model_id=model_id,
-        n_obs=n_obs,
+        shard_id=doc.integer("shard_id", minimum=0),
+        model_id=doc.string("model_id"),
+        n_obs=doc.integer("n_obs", minimum=1),
         dim=dim,
-        n_splits=n_splits,
-        n_samples=n_samples,
-        seed=seed,
-        mean=mean_arr,
-        cov=cov_arr,
-        evidence_method=method,
-        log_local_evidence=value,
-        evidence_std_err=None if std_err is None else float(std_err),
-        acceptance_rate=None if acceptance is None else float(acceptance),
-        ess=None if ess is None else float(ess),
-        conditional_stream_path=stream_path,
+        n_splits=doc.integer("n_splits", minimum=1),
+        n_samples=doc.integer("n_samples", minimum=0),
+        seed=doc.integer("seed", minimum=0),
+        mean=mean,
+        cov=cov,
+        evidence_method=evidence.string("method", choices=EVIDENCE_METHODS + ("exact",)),
+        log_local_evidence=evidence.number("value"),
+        evidence_std_err=evidence.number("std_err", null=True),
+        acceptance_rate=doc.number("acceptance_rate", null=True),
+        ess=doc.number("ess", null=True),
+        conditional_stream_path=doc.string("conditional_stream_path", null=True),
         schema_version=version,
     )
 

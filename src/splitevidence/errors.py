@@ -42,8 +42,8 @@ class UnexploredModelError(SplitEvidenceError):
     """A model-choice quantity was requested for a model with too few visits."""
 
 
-class DecodeError(SplitEvidenceError):
-    """A wire-format document failed validation."""
+class DecodeError(ConfigurationError):
+    """A document read from outside the process failed validation (see ``wire``)."""
 
 
 class SchemaVersionError(DecodeError):

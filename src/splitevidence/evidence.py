@@ -35,6 +35,7 @@ from .samplers import Chain, ConditionalGaussianStream, SubposteriorDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
 MIN_IMPORTANCE_DRAWS = 100
+LOW_ESS = 10.0  # importance-weight ESS below which an estimate warns "low_ess"
 
 METHODS = (
     "chib",
@@ -76,6 +77,11 @@ class ModelComparison:
     log_prior_probs: np.ndarray
     log_bf_matrix: np.ndarray      # [i, j] = log BF of model i over model j
     posterior_probs: np.ndarray
+
+
+def ess_warnings(ess: Optional[float]) -> Tuple[str, ...]:
+    """The warnings of a local estimate whose importance weights have this ESS."""
+    return ("low_ess",) if ess is not None and ess < LOW_ESS else ()
 
 
 def _logmeanexp_with_se(log_terms: np.ndarray) -> Tuple[float, float]:
@@ -163,14 +169,13 @@ def importance_log_evidence(
     peak = np.max(log_w)
     w = np.exp(log_w - peak)
     ess = float(w.sum() ** 2 / (w @ w))
-    warnings = ("low_ess",) if ess < 10.0 else ()
     return EvidenceEstimate(
         log_value=log_ev,
         mc_std_err=se,
         method="importance",
         n_samples_used=n_samples,
         ess=ess,
-        warnings=warnings,
+        warnings=ess_warnings(ess),
     )
 
 

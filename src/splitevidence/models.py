@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import wire
 from .errors import ConfigurationError, DomainError
 from .gaussian import chol_spd
 
@@ -65,6 +65,7 @@ class LinearLogNormalVar:
 
 
 Likelihood = Union[LogisticLikelihood, LinearKnownVar, LinearLogNormalVar]
+_LIKELIHOOD_KINDS = (LogisticLikelihood.kind, LinearKnownVar.kind, LinearLogNormalVar.kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,43 +451,33 @@ def model_spec_to_json(model: ModelSpec) -> str:
         "dim": model.dim,
         "active_features": None if model.active_features is None else list(model.active),
     }
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
+    return wire.dumps(doc)
 
 
 def model_spec_from_json(text: str) -> ModelSpec:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"model spec is not valid JSON: {exc}") from None
-    try:
-        lik_doc = doc["likelihood"]
-        kind = lik_doc["kind"]
-        if kind == "logistic":
-            lik = LogisticLikelihood()
-        elif kind == "linear_gaussian_known_var":
-            lik = LinearKnownVar(noise_var=float(lik_doc["noise_var"]))
-        elif kind == "linear_gaussian_lognormal_var":
-            lik = LinearLogNormalVar(
-                logsigma_mean=float(lik_doc["logsigma_mean"]),
-                logsigma_sd=float(lik_doc["logsigma_sd"]),
-            )
-        else:
-            raise ConfigurationError(f"unknown likelihood kind {kind!r}")
-        prior_doc = doc["prior"]
-        if prior_doc["kind"] == "normal":
-            prior = NormalPrior(mean=np.asarray(prior_doc["mean"], dtype=float),
-                                cov=np.asarray(prior_doc["cov"], dtype=float))
-        elif prior_doc["kind"] == "laplace":
-            prior = LaplacePrior(scale=float(prior_doc["scale"]))
-        else:
-            raise ConfigurationError(f"unknown prior kind {prior_doc['kind']!r}")
-        active = doc.get("active_features")
-        return ModelSpec(
-            model_id=str(doc["model_id"]),
-            likelihood=lik,
-            prior=prior,
-            dim=int(doc["dim"]),
-            active_features=None if active is None else tuple(active),
+    doc = wire.loads(text, "model spec")
+    likelihood = doc.sub("likelihood")
+    kind = likelihood.string("kind", choices=_LIKELIHOOD_KINDS)
+    if kind == LogisticLikelihood.kind:
+        lik = LogisticLikelihood()
+    elif kind == LinearKnownVar.kind:
+        lik = LinearKnownVar(noise_var=likelihood.number("noise_var"))
+    else:
+        lik = LinearLogNormalVar(
+            logsigma_mean=likelihood.number("logsigma_mean"),
+            logsigma_sd=likelihood.number("logsigma_sd"),
         )
-    except KeyError as exc:
-        raise ConfigurationError(f"model spec is missing field {exc}") from None
+    dim = doc.integer("dim", minimum=1)
+    prior_doc = doc.sub("prior")
+    if prior_doc.string("kind", choices=("normal", "laplace")) == "normal":
+        prior = NormalPrior(*prior_doc.gaussian("mean", "cov", dim, row_major=False))
+    else:
+        prior = LaplacePrior(scale=prior_doc.number("scale"))
+    active = doc.array("active_features", (None,), integer=True, null=True, default=None)
+    return ModelSpec(
+        model_id=doc.string("model_id"),
+        likelihood=lik,
+        prior=prior,
+        dim=dim,
+        active_features=None if active is None else tuple(active.tolist()),
+    )

@@ -11,16 +11,16 @@ fractionation constants and the Gaussian overlap integrals of each model.
 """
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .errors import DecodeError, DomainError, UnexploredModelError
+from . import wire
+from .errors import DecodeError, DomainError, SchemaVersionError, UnexploredModelError
 from .evidence import approx_isub
 from .gaussian import GaussianMoments, chol_spd
 from .models import (
@@ -31,7 +31,7 @@ from .models import (
     check_compatible,
     log_alpha,
 )
-from .samplers import laplace_fit, subposterior_closure
+from .samplers import RunningMoments, laplace_fit, subposterior_closure
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -168,33 +168,6 @@ def submodel(base: ModelSpec, indicator: ModelIndicator) -> ModelSpec:
     )
 
 
-class _Welford:
-    """Streaming mean and covariance accumulator."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self, dim: int):
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros((dim, dim))
-
-    def add(self, x: np.ndarray):
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += np.outer(delta, x - self.mean)
-
-    def moments(self) -> Optional[GaussianMoments]:
-        if self.count < 2 or self.mean.shape[0] == 0:
-            return None
-        cov = self.m2 / (self.count - 1)
-        cov = 0.5 * (cov + cov.T)
-        try:
-            return GaussianMoments(mean=self.mean.copy(), cov=cov)
-        except Exception:
-            return None
-
-
 class _ModelCache:
     """Per-model closures: target density, proposal Cholesky, start point.
 
@@ -312,7 +285,7 @@ def rjmcmc_sample(
 
     rng = np.random.default_rng(seed)
     counts: Dict[Tuple[int, ...], int] = {}
-    accum: Dict[Tuple[int, ...], _Welford] = {}
+    accum: Dict[Tuple[int, ...], RunningMoments] = {}
 
     for it in range(n_iter):
         # within-model random-walk move
@@ -359,22 +332,20 @@ def rjmcmc_sample(
         if it >= burn_in:
             counts[active] = counts.get(active, 0) + 1
             if entry["d"] > 0:
-                acc = accum.get(active)
-                if acc is None:
-                    acc = _Welford(entry["d"])
-                    accum[active] = acc
-                acc.add(theta)
+                if active in accum:
+                    accum[active].add(theta)
+                else:
+                    accum[active] = RunningMoments(theta)
 
     retained = n_iter - burn_in
     visit_counts = {
         ModelIndicator(a, p): c for a, c in sorted(counts.items())
     }
-    moments = {}
-    for a, acc in accum.items():
-        if counts[a] >= min_visits:
-            mom = acc.moments()
-            if mom is not None:
-                moments[ModelIndicator(a, p)] = mom
+    moments = {
+        ModelIndicator(a, p): GaussianMoments(mean=acc.mean.copy(), cov=acc.cov())
+        for a, acc in accum.items()
+        if counts[a] >= min_visits and acc.count >= 2
+    }
     return RJOutput(
         n_features=p,
         visit_counts=visit_counts,
@@ -480,7 +451,7 @@ RJ_SCHEMA_VERSION = 1
 
 
 def rj_output_to_json(out: RJOutput) -> str:
-    """Canonical single-line JSON keyed by indicator bitstrings."""
+    """Canonical ``wire`` line keyed by indicator bitstrings."""
     models = {}
     for indicator in sorted(out.visit_counts, key=lambda m: m.bits):
         mom = out.moments.get(indicator)
@@ -500,64 +471,34 @@ def rj_output_to_json(out: RJOutput) -> str:
         "min_visits": out.min_visits,
         "models": models,
     }
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return wire.dumps(obj)
 
 
 def rj_output_from_json(text: str) -> RJOutput:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DecodeError(f"sampler output is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DecodeError("sampler output must be a JSON object")
-    if obj.get("schema_version") != RJ_SCHEMA_VERSION:
-        raise DecodeError(
-            f"unsupported sampler output schema {obj.get('schema_version')!r}"
-        )
-    for key in ("n_features", "n_iterations", "burn_in", "seed", "min_visits", "models"):
-        if key not in obj:
-            raise DecodeError(f"sampler output missing key {key!r}")
-    p = obj["n_features"]
-    models = obj["models"]
-    if not isinstance(models, dict):
-        raise DecodeError("sampler output models must be an object")
+    doc = wire.loads(text, "sampler output")
+    version = doc.integer("schema_version")
+    if version != RJ_SCHEMA_VERSION:
+        raise SchemaVersionError(f"unsupported sampler output schema {version}")
+    p = doc.integer("n_features", minimum=1)
     visit_counts: Dict[ModelIndicator, int] = {}
     moments: Dict[ModelIndicator, GaussianMoments] = {}
-    for bits, block in models.items():
-        if len(bits) != p:
-            raise DecodeError(f"indicator {bits!r} does not cover {p} features")
-        indicator = ModelIndicator.from_bits(bits)
-        if not isinstance(block, dict) or "count" not in block:
-            raise DecodeError(f"model block for {bits!r} malformed")
-        count = block["count"]
-        if not isinstance(count, int) or count < 1:
-            raise DecodeError(f"model {bits!r} count must be a positive integer")
-        visit_counts[indicator] = count
-        mean = block.get("mean")
-        cov = block.get("cov_row_major")
-        if (mean is None) != (cov is None):
-            raise DecodeError(f"model {bits!r} has a partial moment block")
-        if mean is not None:
-            mean_arr = np.asarray(mean, dtype=float)
-            d = mean_arr.shape[0]
-            if len(cov) != d * d:
-                raise DecodeError(
-                    f"model {bits!r} covariance has {len(cov)} entries, expected {d * d}"
-                )
-            cov_arr = np.asarray(cov, dtype=float).reshape(d, d)
-            try:
-                moments[indicator] = GaussianMoments(mean=mean_arr, cov=cov_arr)
-            except Exception as exc:
-                raise DecodeError(f"model {bits!r} moments rejected: {exc}") from exc
     try:
+        for bits, block in doc.sub("models").items():
+            indicator = ModelIndicator.from_bits(bits)
+            if indicator.n_features != p:
+                raise DecodeError(f"indicator {bits!r} does not cover {p} features")
+            visit_counts[indicator] = block.integer("count", minimum=1)
+            gauss = block.gaussian("mean", "cov_row_major", null=True)
+            if gauss is not None:
+                moments[indicator] = GaussianMoments(*gauss)
         return RJOutput(
             n_features=p,
             visit_counts=visit_counts,
             moments=moments,
-            n_iterations=obj["n_iterations"],
-            burn_in=obj["burn_in"],
-            seed=obj["seed"],
-            min_visits=obj["min_visits"],
+            n_iterations=doc.integer("n_iterations", minimum=0),
+            burn_in=doc.integer("burn_in", minimum=0),
+            seed=doc.integer("seed", minimum=0),
+            min_visits=doc.integer("min_visits", minimum=0),
         )
     except DomainError as exc:
         raise DecodeError(f"sampler output invalid: {exc}") from exc

@@ -24,7 +24,6 @@ entries left without one get another pass.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
@@ -34,6 +33,7 @@ from scipy.linalg import block_diag, cho_solve, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from . import wire
 from .errors import (
     ConfigurationError,
     DecodeError,
@@ -391,7 +391,29 @@ def subposterior_closure(model: ModelSpec, shard: Shard, n_splits: int) -> Subpo
 
 
 # ---------------------------------------------------------------------------
-# Random-walk Metropolis with burn-in-only adaptation.
+# Running moments and random-walk Metropolis with burn-in-only adaptation.
+
+class RunningMoments:
+    """Welford's streaming mean and covariance, started at one point."""
+
+    __slots__ = ("count", "mean", "m2")
+
+    def __init__(self, x: np.ndarray):
+        self.count = 1
+        self.mean = np.array(x, dtype=float)
+        self.m2 = np.zeros((self.mean.shape[0],) * 2)
+
+    def add(self, x: np.ndarray) -> None:
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self.m2 += np.outer(delta, x - self.mean)
+
+    def cov(self) -> np.ndarray:
+        """Sample covariance (ddof=1), symmetrized; needs two points."""
+        cov = self.m2 / (self.count - 1)
+        return 0.5 * (cov + cov.T)
+
 
 _RWMH_ADAPT_INTERVAL = 100  # burn-in iterations between proposal refits
 _RWMH_TARGET_ACCEPT = 0.234  # Robbins-Monro target for the step scale
@@ -433,9 +455,7 @@ def rwmh_chain(
 
     # Running moments restart halfway through burn-in to drop the transient.
     restart_at = burn_in // 2
-    mean = init.copy()
-    m2 = np.zeros((d, d))
-    count = 1
+    running = RunningMoments(init)
 
     draws = np.empty((n_iter - burn_in, d))
     x = init.copy()
@@ -454,19 +474,14 @@ def rwmh_chain(
             acc_prob = math.exp(min(log_ratio, 0.0)) if np.isfinite(log_ratio) else 0.0
             log_step += (acc_prob - _RWMH_TARGET_ACCEPT) / (t + 1) ** 0.6
             if t == restart_at:
-                mean = x.copy()
-                m2 = np.zeros((d, d))
-                count = 1
+                running = RunningMoments(x)
             else:
-                count += 1
-                delta = x - mean
-                mean = mean + delta / count
-                m2 = m2 + np.outer(delta, x - mean)
-            if (t + 1) % _RWMH_ADAPT_INTERVAL == 0 and count > 2 * d:
-                cov = m2 / (count - 1)
-                cov = 0.5 * (cov + cov.T)
+                running.add(x)
+            if (t + 1) % _RWMH_ADAPT_INTERVAL == 0 and running.count > 2 * d:
                 try:
-                    chol = chol_spd(scale * (cov + 1e-6 * np.eye(d)), what="proposal")
+                    chol = chol_spd(
+                        scale * (running.cov() + 1e-6 * np.eye(d)), what="proposal"
+                    )
                 except SpdError:
                     pass  # keep the previous factor until the estimate is usable
         else:
@@ -566,52 +581,32 @@ def pg_gibbs_logistic(
 def write_stream(stream: ConditionalGaussianStream, path) -> None:
     """NDJSON serialization: one header line, then one record per draw."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(
-            {"type": "header", "eta": [float(v) for v in stream.eta]},
-            ensure_ascii=False, separators=(",", ":"),
-        ) + "\n")
-        for i in range(stream.n_records):
-            rec = {
-                "type": "rec",
-                "n": i + 1,
-                "prec_row_major": [float(v) for v in stream.precisions[i].ravel()],
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False, separators=(",", ":")) + "\n")
+        fh.write(wire.dumps({"type": "header", "eta": stream.eta.tolist()}))
+        for n, prec in enumerate(stream.precisions, start=1):
+            fh.write(wire.dumps({"type": "rec", "n": n, "prec_row_major": prec.ravel().tolist()}))
 
 
 def read_stream(path) -> ConditionalGaussianStream:
+    """Read a stream back; every precision is checked at once, errors name the record."""
     with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DecodeError(f"{path}: bad stream header: {exc}") from None
-        if header.get("type") != "header" or "eta" not in header:
-            raise DecodeError(f"{path}: first line is not a stream header")
-        eta = np.asarray(header["eta"], dtype=float)
+        header = wire.loads(fh.readline(), f"{path}: stream header")
+        header.string("type", choices=("header",))
+        eta = header.array("eta", (None,))
         d = eta.shape[0]
-        precs = []
+        rows = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DecodeError(f"{path}:{lineno}: bad stream record: {exc}") from None
-            if rec.get("type") != "rec":
-                raise DecodeError(f"{path}:{lineno}: expected a 'rec' line")
-            if rec.get("n") != len(precs) + 1:
-                raise DecodeError(f"{path}:{lineno}: records out of order")
-            flat = np.asarray(rec["prec_row_major"], dtype=float)
-            if flat.shape[0] != d * d:
-                raise DecodeError(f"{path}:{lineno}: precision has wrong length")
-            precs.append(flat.reshape(d, d))
-    if not precs:
-        raise DecodeError(f"{path}: stream has no records")
-    arr = np.stack(precs)
-    if not np.all(np.isfinite(arr)) or not np.all(np.isfinite(eta)):
-        raise DecodeError(f"{path}: stream contains non-finite values")
-    return ConditionalGaussianStream(eta=eta, precisions=arr)
+            try:  # the file and line go into the message only when a record fails
+                rec = wire.loads(line, "stream record")
+                rec.string("type", choices=("rec",))
+                if rec.integer("n") != len(rows) + 1:
+                    raise DecodeError("stream records out of order")
+                rows.append(rec.sequence("prec_row_major", d * d))
+            except DecodeError as exc:
+                raise DecodeError(f"{path}:{lineno}: {exc}") from None
+    precisions = wire.spd_matrices(rows, d, f"{path}: precision", item="of record")
+    return ConditionalGaussianStream(eta=eta, precisions=precisions)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ byte-identical.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import wire
 from .errors import DecodeError, DomainError
 from .models import Dataset, Shard
 
@@ -226,52 +226,31 @@ def stratified_split(
 
 
 def plan_to_json(plan: ShardPlan) -> str:
-    """Canonical single-line JSON; identical plans give identical bytes."""
+    """Canonical ``wire`` line; identical plans give identical bytes."""
     obj = {
         "S": plan.n_splits,
         "strategy": plan.strategy,
         "seed": plan.seed,
-        "assignment": [int(a) for a in plan.assignment],
+        "assignment": plan.assignment.tolist(),
         "kmeans_k": plan.kmeans_k,
         "metadata": plan.metadata,
     }
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return wire.dumps(obj)
 
 
 def plan_from_json(text: str) -> ShardPlan:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DecodeError(f"plan is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise DecodeError("plan JSON must be an object")
-    for key in ("S", "strategy", "seed", "assignment"):
-        if key not in obj:
-            raise DecodeError(f"plan JSON missing key {key!r}")
-    if not isinstance(obj["S"], int) or not isinstance(obj["seed"], int):
-        raise DecodeError("plan S and seed must be integers")
-    assignment = obj["assignment"]
-    if not isinstance(assignment, list) or not all(
-        isinstance(a, int) for a in assignment
-    ):
-        raise DecodeError("plan assignment must be a list of integers")
-    kmeans_k = obj.get("kmeans_k")
-    if kmeans_k is not None and not isinstance(kmeans_k, int):
-        raise DecodeError("plan kmeans_k must be an integer or null")
-    metadata = obj.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise DecodeError("plan metadata must be an object")
+    doc = wire.loads(text, "plan")
     try:
         return ShardPlan(
-            n_splits=obj["S"],
-            assignment=np.asarray(assignment, dtype=np.int64),
-            strategy=obj["strategy"],
-            seed=obj["seed"],
-            kmeans_k=kmeans_k,
-            metadata=metadata,
+            n_splits=doc.integer("S", minimum=1),
+            assignment=doc.array("assignment", (None,), integer=True),
+            strategy=doc.string("strategy", choices=STRATEGIES),
+            seed=doc.integer("seed", minimum=0),
+            kmeans_k=doc.integer("kmeans_k", minimum=1, null=True, default=None),
+            metadata=doc.sub("metadata", default={}).obj,
         )
     except DomainError as exc:
-        raise DecodeError(f"plan JSON invalid: {exc}") from exc
+        raise DecodeError(f"plan invalid: {exc}") from exc
 
 
 def write_plan(plan: ShardPlan, path) -> None:

@@ -4,6 +4,8 @@ error reporting."""
 import csv
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -64,6 +66,72 @@ def logistic_fixture(tmp_path_factory):
 def _read_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     return json.loads(err)["error"]
+
+
+@pytest.fixture(scope="module")
+def exchange(logistic_fixture, tmp_path_factory):
+    """A model file, a plan, and two conditional results with their streams."""
+    root = tmp_path_factory.mktemp("exchange")
+    shutil.copy(logistic_fixture["model"], root / "model.json")
+    plan = str(root / "plan.json")
+    assert cli.main(
+        ["shard", "--data", logistic_fixture["data"], "--splits", "2", "--out", plan]
+    ) == 0
+    for sid in range(2):
+        assert cli.main(
+            ["worker", "--data", logistic_fixture["data"], "--model",
+             str(root / "model.json"), "--plan", plan, "--shard-id", str(sid),
+             "--mode", "conditional", "--samples", "150", "--burn-in", "50",
+             "--out", str(root / f"result_{sid}.json")]
+        ) == 0
+    return root
+
+
+def _edit_line(index, change):
+    """Replace line ``index`` of an NDJSON file by ``change`` of its decoded JSON."""
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[index] = json.dumps(change(json.loads(lines[index]))) + "\n"
+        return "".join(lines)
+    return edit
+
+
+def _with_precision(change):
+    return lambda rec: {**rec, "prec_row_major": change(list(rec["prec_row_major"]))}
+
+
+def _upper_triangle(prec):
+    prec[1] += 1.0
+    return prec
+
+
+# one malformed document per row: the file to edit and the edit
+MALFORMED_DOCUMENTS = [
+    pytest.param("model.json", lambda text: "[]\n", id="model-not-an-object"),
+    pytest.param("model.json", lambda text: text.replace('"dim":2', '"dim":"five"'),
+                 id="model-dim-string"),
+    pytest.param("model.json",
+                 lambda text: text.replace('"mean":[0.0,0.0]', '"mean":"zero"'),
+                 id="model-prior-mean-string"),
+    pytest.param("cond_1.ndjson", _edit_line(3, lambda rec: [1, 2]),
+                 id="stream-record-not-an-object"),
+    pytest.param("cond_1.ndjson",
+                 _edit_line(3, lambda rec: {"type": rec["type"], "n": rec["n"]}),
+                 id="stream-record-without-precision"),
+    pytest.param("cond_0.ndjson", _edit_line(0, lambda head: {**head, "eta": "abc"}),
+                 id="stream-eta-string"),
+    pytest.param("cond_1.ndjson",
+                 _edit_line(3, _with_precision(lambda prec: [1.0, 0.0, 0.0, -1.0])),
+                 id="stream-precision-indefinite"),
+    pytest.param("cond_0.ndjson", _edit_line(5, _with_precision(_upper_triangle)),
+                 id="stream-precision-upper-triangle"),
+    pytest.param("result_0.json",
+                 lambda text: re.sub(r'"std_err":[^,}]+', '"std_err":NaN', text),
+                 id="result-std-err-nan"),
+    pytest.param("result_1.json",
+                 lambda text: text.replace('"acceptance_rate":null', '"acceptance_rate":true'),
+                 id="result-acceptance-rate-bool"),
+]
 
 
 class TestSynthAndShard:
@@ -626,6 +694,32 @@ class TestWorkerCombineByHand:
         assert any(r[0] == "log_evidence" for r in rows)
 
 
+    def test_combine_reports_low_ess(self, conjugate_fixture, tmp_path, capsys):
+        plan = str(tmp_path / "plan.json")
+        assert cli.main(
+            ["shard", "--data", conjugate_fixture["data"], "--splits", "2", "--out", plan]
+        ) == 0
+        results = []
+        for sid in range(2):
+            path = tmp_path / f"result_{sid}.json"
+            assert cli.main(
+                ["worker", "--data", conjugate_fixture["data"], "--model",
+                 conjugate_fixture["model"], "--plan", plan, "--shard-id", str(sid),
+                 "--mode", "exact", "--out", str(path)]
+            ) == 0
+            path.write_text(path.read_text().replace('"ess":null', '"ess":5.0'))
+            results.append(str(path))
+        capsys.readouterr()
+        out = tmp_path / "evidence.json"
+        assert cli.main(
+            ["combine", "--model", conjugate_fixture["model"], "--results", *results,
+             "--out", str(out)]
+        ) == 0
+        models = json.loads(out.read_text())["models"]
+        assert [m["warnings"] for m in models.values()] == [["low_ess"]]
+        assert "warnings low_ess" in capsys.readouterr().out
+
+
 class TestRjmcmcCommand:
     def test_writes_summary_and_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -986,6 +1080,36 @@ class TestErrorReporting:
         error = _read_error(capsys)
         assert error["code"] == "E_INPUT"
         assert message in error["message"]
+
+
+    @pytest.mark.parametrize("name, edit", MALFORMED_DOCUMENTS)
+    def test_malformed_document_rejected(self, exchange, tmp_path, capsys, name, edit):
+        work = tmp_path / "exchange"
+        shutil.copytree(exchange, work)
+        path = work / name
+        text = path.read_text()
+        path.write_text(edit(text))
+        assert path.read_text() != text
+        code = cli.main(
+            ["combine", "--model", str(work / "model.json"), "--results",
+             str(work / "result_0.json"), str(work / "result_1.json"),
+             "--out", str(work / "evidence.json")]
+        )
+        assert code == 1
+        assert _read_error(capsys)["code"] == "E_INPUT"
+        assert not (work / "evidence.json").exists()
+
+    @pytest.mark.parametrize("command", ["shard", "rjmcmc"])
+    def test_negative_seed(self, logistic_fixture, tmp_path, capsys, command):
+        inputs = ["--model", logistic_fixture["model"]] if command == "rjmcmc" else []
+        code = cli.main(
+            [command, "--data", logistic_fixture["data"], *inputs, "--splits", "2",
+             "--seed", "-1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        error = _read_error(capsys)
+        assert error["code"] == "E_INPUT"
+        assert "seed must be non-negative, got -1" in error["message"]
 
 
 class TestEntryPoint:

@@ -332,6 +332,18 @@ class TestRunCluster:
         with pytest.raises(WorkerError, match="model"):
             combine_worker_results(other, results)
 
+    @pytest.mark.parametrize("ess, warnings", [(5.0, ("low_ess",)), (80.0, ())])
+    def test_combine_carries_low_ess_warnings(self, ess, warnings):
+        model = ModelSpec(
+            model_id="m1",
+            likelihood=LogisticLikelihood(),
+            prior=NormalPrior(mean=np.zeros(2), cov=np.eye(2)),
+            dim=2,
+        )
+        results = [_result_fixture(shard_id=s, ess=ess) for s in range(2)]
+        assert results[0].local_estimate().warnings == warnings
+        assert combine_worker_results(model, results).warnings == warnings
+
     def test_missing_stream_for_conditional(self):
         result = _result_fixture(n_splits=1, evidence_method="chib")
         model = ModelSpec(

@@ -449,6 +449,8 @@ class TestSerialization:
             text.replace('"count":700', '"count":0'),
             text.replace('"count":700', '"count":700.5'),
             text.replace('"n_iterations":1000', '"n_iterations":999'),
+            text.replace('"mean":[0.125,-1.5]', '"mean":[NaN,-1.5]'),
+            text.replace('[2.0,0.25,0.25,1.0]', '[1.0,2.0,2.0,1.0]'),
         ]
         for case in cases:
             with pytest.raises(DecodeError):
