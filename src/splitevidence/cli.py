@@ -211,6 +211,7 @@ def _print_summary(
 
 
 def _cmd_synth(args) -> int:
+    cluster.RunConfig(seed=args.seed)  # rejects a negative seed
     data, models = make_synthetic(args.scenario, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
@@ -438,6 +439,7 @@ def _diagnose_seed(seed: int, n_splits: int, repetition: int) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    base = _run_config(vars(args))
     data, models = make_synthetic(args.scenario, seed=args.seed)
     if args.model:
         wanted = set(args.model)
@@ -456,7 +458,6 @@ def _cmd_diagnose(args) -> int:
         raise ConfigurationError("splits must be positive integers")
     if args.repetitions < 1:
         raise ConfigurationError("repetitions must be at least 1")
-    base = _run_config(vars(args))
 
     rows = []
     for n_splits in split_values:

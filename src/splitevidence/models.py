@@ -265,14 +265,17 @@ def design(model: ModelSpec, data: Union[Dataset, Shard]) -> np.ndarray:
 def softplus_sum(linpred: np.ndarray, axis: Optional[int] = None):
     """Logistic log-partition: the sum of log(1 + exp(x)) over ``axis``.
 
-    Every hot path of the logistic density (``samplers.SubposteriorDensity``,
-    one theta or a batch) goes through this kernel;
-    ``log_likelihood`` keeps ``np.logaddexp`` as the independent reference.
-    It is computed as sum max(x, 0) + sum log1p(exp(-|x|)), with the first
-    term taken as (sum x + sum |x|) / 2, so the only temporary is one buffer
-    of |x| that exp and log1p then overwrite in place.
+    Every hot path of the logistic density (``samplers.SubposteriorDensity``)
+    goes through this kernel; ``log_likelihood`` keeps ``np.logaddexp`` as the
+    reference.  When every x is below 700, exp(x) is finite and log1p(exp(x))
+    exact to rounding: max, exp, log1p and sum in one buffer.  Otherwise (or on
+    NaN) it is (sum x + sum |x|) / 2 + sum log1p(exp(-|x|)), with exp and log1p
+    run in place on the one temporary, the |x| buffer.
     """
     linpred = np.asarray(linpred, dtype=float)
+    if linpred.size and linpred.max() < 700.0:
+        out = np.exp(linpred)
+        return np.log1p(out, out=out).sum(axis=axis)
     mag = np.abs(linpred)
     pos = 0.5 * (linpred.sum(axis=axis) + mag.sum(axis=axis))
     np.negative(mag, out=mag)

@@ -53,7 +53,8 @@ from .models import (
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-_BATCH_ROWS = 2_000_000  # cap on rows x draws handled in one likelihood block
+# rows x draws per likelihood block: a 512 KiB buffer, so every pass over it stays in L2
+_BLOCK_CELLS = 65_536
 
 # Polya-Gamma proposals.  J = 4 PG(1, c) with z = |c|/2 has the Jacobi
 # density cosh(z) exp(-z^2 x/2) sum_n (-1)^n a_n(x), and a_0 bounds the sum.
@@ -318,7 +319,7 @@ class SubposteriorDensity:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if self.logistic:
             out = np.empty(thetas.shape[0])
-            step = max(1, _BATCH_ROWS // self.n)
+            step = max(1, _BLOCK_CELLS // self.n)
             for lo in range(0, thetas.shape[0], step):
                 linpred = self.X @ thetas[lo : lo + step].T
                 out[lo : lo + step] = self.y @ linpred - softplus_sum(linpred, axis=0)
@@ -454,47 +455,40 @@ def rwmh_chain(
     log_step = 0.0
 
     # Running moments restart halfway through burn-in to drop the transient.
-    restart_at = burn_in // 2
     running = RunningMoments(init)
-
-    draws = np.empty((n_iter - burn_in, d))
     x = init.copy()
-    accepted_post = 0
 
-    for t in range(n_iter):
+    for t in range(burn_in):
         prop = x + math.exp(log_step) * (chol @ z_all[t])
         fp = log_target(prop)
-        fp = fp if np.isfinite(fp) else -np.inf
-        log_ratio = fp - fx
-        accept = log_u[t] <= log_ratio
-        if accept:
-            x = prop
-            fx = fp
-        if t < burn_in:
-            acc_prob = math.exp(min(log_ratio, 0.0)) if np.isfinite(log_ratio) else 0.0
-            log_step += (acc_prob - _RWMH_TARGET_ACCEPT) / (t + 1) ** 0.6
-            if t == restart_at:
-                running = RunningMoments(x)
-            else:
-                running.add(x)
-            if (t + 1) % _RWMH_ADAPT_INTERVAL == 0 and running.count > 2 * d:
-                try:
-                    chol = chol_spd(
-                        scale * (running.cov() + 1e-6 * np.eye(d)), what="proposal"
-                    )
-                except SpdError:
-                    pass  # keep the previous factor until the estimate is usable
+        log_ratio = fp - fx if math.isfinite(fp) else -math.inf
+        if log_u[t] <= log_ratio:
+            x, fx = prop, fp
+        acc_prob = math.exp(min(log_ratio, 0.0))
+        log_step += (acc_prob - _RWMH_TARGET_ACCEPT) / (t + 1) ** 0.6
+        if t == burn_in // 2:
+            running = RunningMoments(x)
         else:
-            draws[t - burn_in] = x
-            if accept:
-                accepted_post += 1
+            running.add(x)
+        if (t + 1) % _RWMH_ADAPT_INTERVAL == 0 and running.count > 2 * d:
+            try:
+                chol = chol_spd(scale * (running.cov() + 1e-6 * np.eye(d)), what="proposal")
+            except SpdError:
+                pass  # keep the previous factor until the estimate is usable
 
-    return Chain(
-        draws=draws,
-        burn_in=burn_in,
-        acceptance_rate=accepted_post / (n_iter - burn_in),
-        seed=seed,
-    )
+    # The kernel is frozen from here on: every increment comes from one product.
+    steps = math.exp(log_step) * (z_all[burn_in:] @ chol.T)
+    draws = np.empty_like(steps)
+    accepted_post = 0
+    for t, step in enumerate(steps):
+        prop = x + step
+        fp = log_target(prop)
+        if math.isfinite(fp) and log_u[burn_in + t] <= fp - fx:
+            x, fx = prop, fp
+            accepted_post += 1
+        draws[t] = x
+    rate = accepted_post / (n_iter - burn_in)
+    return Chain(draws=draws, burn_in=burn_in, acceptance_rate=rate, seed=seed)
 
 
 # ---------------------------------------------------------------------------

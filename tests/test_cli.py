@@ -1099,13 +1099,16 @@ class TestErrorReporting:
         assert _read_error(capsys)["code"] == "E_INPUT"
         assert not (work / "evidence.json").exists()
 
-    @pytest.mark.parametrize("command", ["shard", "rjmcmc"])
+    @pytest.mark.parametrize("command", ["shard", "rjmcmc", "synth", "diagnose"])
     def test_negative_seed(self, logistic_fixture, tmp_path, capsys, command):
-        inputs = ["--model", logistic_fixture["model"]] if command == "rjmcmc" else []
-        code = cli.main(
-            [command, "--data", logistic_fixture["data"], *inputs, "--splits", "2",
-             "--seed", "-1", "--out", str(tmp_path / "out")]
-        )
+        inputs = {
+            "shard": ["--data", logistic_fixture["data"], "--splits", "2"],
+            "rjmcmc": ["--data", logistic_fixture["data"], "--model",
+                       logistic_fixture["model"], "--splits", "2"],
+            "synth": ["--scenario", "linear_conjugate"],
+            "diagnose": ["--scenario", "linear_conjugate", "--splits", "2"],
+        }[command]
+        code = cli.main([command, *inputs, "--seed", "-1", "--out", str(tmp_path / "out")])
         assert code == 1
         error = _read_error(capsys)
         assert error["code"] == "E_INPUT"

@@ -235,7 +235,7 @@ class TestLikelihoods:
             rtol=1e-12,
         )
 
-    @pytest.mark.parametrize("block_rows", [None, 60], ids=["one_block", "blocks"])
+    @pytest.mark.parametrize("block_cells", [None, 60], ids=["one_block", "blocks"])
     @pytest.mark.parametrize("n_splits", [1, 4])
     @pytest.mark.parametrize("prior_kind", ["normal", "laplace"])
     @pytest.mark.parametrize(
@@ -249,7 +249,7 @@ class TestLikelihoods:
     )
     @pytest.mark.parametrize("active", [None, (0, 2), ()], ids=["all", "sub", "none"])
     def test_logpdf_batch_matches_reference(
-        self, active, lik, prior_kind, n_splits, block_rows, monkeypatch
+        self, active, lik, prior_kind, n_splits, block_cells, monkeypatch
     ):
         rng = np.random.default_rng(5)
         n, p = 30, 3
@@ -267,9 +267,9 @@ class TestLikelihoods:
         model = ModelSpec(
             model_id="m", likelihood=lik, prior=prior, dim=p, active_features=active
         )
-        if block_rows is not None:
+        if block_cells is not None:
             # 60 rows x draws per block: 2 draws of 30 rows, so 7 draws take 4 blocks
-            monkeypatch.setattr(samplers_module, "_BATCH_ROWS", block_rows)
+            monkeypatch.setattr(samplers_module, "_BLOCK_CELLS", block_cells)
         shard = whole_shard(Dataset(X=X, y=y))
         thetas = 3.0 * rng.normal(size=(7, model.theta_dim))
         got = SubposteriorDensity(model, shard, n_splits).logpdf_batch(thetas)
@@ -329,6 +329,40 @@ class TestSoftplusSum:
         )
         np.testing.assert_array_equal(block, before)
 
+    def test_fast_path_matches_logaddexp(self):
+        # every x below 700: the exp-then-log1p path, exact to rounding even
+        # where sum x + sum |x| would cancel (x = -1e17)
+        rng = np.random.default_rng(10)
+        edges = [0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0,
+                 -709.0, -750.0, -1e4, -1e17]
+        x = np.concatenate([edges, rng.normal(size=300), 12.0 * rng.normal(size=300)])
+        assert x.max() < 700.0
+        ref = np.logaddexp(0.0, x)
+        np.testing.assert_allclose(softplus_sum(x), ref.sum(), rtol=1e-12, atol=1e-12)
+        block = x[:600].reshape(40, 15)
+        np.testing.assert_allclose(
+            softplus_sum(block, axis=0),
+            np.logaddexp(0.0, block).sum(axis=0),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("top", [699.9, 700.0, 700.1, 710.0])
+    def test_either_side_of_the_guard(self, top):
+        # maxima just below, at and above the switch to the |x| form, and
+        # past the largest x whose exp is finite
+        rng = np.random.default_rng(11)
+        x = 5.0 * rng.normal(size=120)
+        x[17] = top
+        np.testing.assert_allclose(
+            softplus_sum(x), np.logaddexp(0.0, x).sum(), rtol=1e-12, atol=1e-12
+        )
+        block = x.reshape(40, 3)
+        got = softplus_sum(block, axis=0)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(
+            got, np.logaddexp(0.0, block).sum(axis=0), rtol=1e-12, atol=1e-12
+        )
 
 class TestPriorDensities:
     def test_normal_prior_frozen_value(self):

@@ -216,6 +216,23 @@ class TestRwmh:
         np.testing.assert_array_equal(a.draws, b.draws)
         assert a.acceptance_rate == b.acceptance_rate
 
+    @pytest.mark.parametrize("burn_in", [0, 300])
+    def test_acceptance_rate_counts_moves(self, burn_in):
+        # Continuous target: a retained draw differs from the one before
+        # exactly when its proposal was accepted.
+        def target(t):
+            return float(-0.5 * np.sum(t**2))
+
+        init = np.array([0.3, -0.2])
+        chain = rwmh_chain(target, init, n_iter=2000, burn_in=burn_in, seed=7)
+        moved = int(np.any(np.diff(chain.draws, axis=0) != 0.0, axis=1).sum())
+        accepted = round(chain.acceptance_rate * chain.n_retained)
+        if burn_in == 0:
+            assert accepted == moved + int(np.any(chain.draws[0] != init))
+        else:  # the state before the first retained draw is not returned
+            assert accepted in (moved, moved + 1)
+        assert 0.05 < chain.acceptance_rate < 0.95
+
     def test_non_finite_start_rejected(self):
         def target(t):
             return float("-inf")
