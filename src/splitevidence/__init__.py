@@ -102,6 +102,7 @@ from .cluster import (
     read_worker_result,
     run_cluster,
     run_worker,
+    shard_task,
     worker_seed,
     write_worker_result,
 )

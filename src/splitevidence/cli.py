@@ -109,10 +109,6 @@ def _run_config(values) -> cluster.RunConfig:
     return cluster.RunConfig(**{k: values[k] for k in _RUN_FIELDS if k in values})
 
 
-def _f(value) -> float:
-    return float(value)
-
-
 def _evidence_json(
     n_splits: int,
     comparison: ModelComparison,
@@ -122,14 +118,14 @@ def _evidence_json(
     for i, model_id in enumerate(comparison.model_ids):
         est = estimates[i]
         models[model_id] = {
-            "log_evidence": _f(est.log_value),
-            "std_err": None if est.mc_std_err is None else _f(est.mc_std_err),
+            "log_evidence": float(est.log_value),
+            "std_err": None if est.mc_std_err is None else float(est.mc_std_err),
             "method": est.method,
             "n_samples": int(est.n_samples_used),
-            "ess": None if est.ess is None else _f(est.ess),
+            "ess": None if est.ess is None else float(est.ess),
             "warnings": list(est.warnings),
-            "log_prior_prob": _f(comparison.log_prior_probs[i]),
-            "posterior_prob": _f(comparison.posterior_probs[i]),
+            "log_prior_prob": float(comparison.log_prior_probs[i]),
+            "posterior_prob": float(comparison.posterior_probs[i]),
         }
     obj = {
         "schema_version": 1,
@@ -137,9 +133,9 @@ def _evidence_json(
         "model_ids": list(comparison.model_ids),
         "models": models,
         "log_bf_matrix": [
-            [_f(v) for v in row] for row in np.asarray(comparison.log_bf_matrix)
+            [float(v) for v in row] for row in np.asarray(comparison.log_bf_matrix)
         ],
-        "posterior_probs": [_f(v) for v in comparison.posterior_probs],
+        "posterior_probs": [float(v) for v in comparison.posterior_probs],
     }
     return wire.dumps(obj)
 
@@ -159,16 +155,16 @@ def _write_report_csv(
     ids = list(comparison.model_ids)
     for i, model_id in enumerate(ids):
         est = estimates[i]
-        rows.append(("log_evidence", model_id, "", "", repr(_f(est.log_value))))
+        rows.append(("log_evidence", model_id, "", "", repr(float(est.log_value))))
         rows.append(("std_err", model_id, "", "", _opt_float(est.mc_std_err)))
         rows.append(
-            ("posterior_prob", model_id, "", "", repr(_f(comparison.posterior_probs[i])))
+            ("posterior_prob", model_id, "", "", repr(float(comparison.posterior_probs[i])))
         )
     matrix = np.asarray(comparison.log_bf_matrix)
     for i, first in enumerate(ids):
         for j, second in enumerate(ids):
             if i != j:
-                rows.append(("log_bf", first, second, "", repr(_f(matrix[i, j]))))
+                rows.append(("log_bf", first, second, "", repr(float(matrix[i, j]))))
     for model_id in ids:
         for result in per_model_results.get(model_id, ()):
             sid = str(result.shard_id)
@@ -194,7 +190,7 @@ def _print_summary(
     print(f"combined over {n_splits} shard(s) [{label}]")
     for i, model_id in enumerate(comparison.model_ids):
         est = estimates[i]
-        prob = _f(comparison.posterior_probs[i])
+        prob = float(comparison.posterior_probs[i])
         se = "exact" if est.mc_std_err is None else f"se {est.mc_std_err:.6f}"
         print(
             f"model {model_id}: log evidence {est.log_value:.6f} "
@@ -241,31 +237,33 @@ def _cmd_worker(args) -> int:
             f"shard id {args.shard_id} outside 0..{plan.n_splits - 1}"
         )
     data = load_csv(args.data, rows=plan.assignment == args.shard_id)
-    models = _load_models([args.model])
-    config = _run_config(vars(args))
-    stream_path = args.stream_out
-    if config.mode == "conditional" and stream_path is None:
-        stream_path = os.path.join(
-            os.path.dirname(os.path.abspath(args.out)), f"cond_{args.shard_id}.ndjson"
-        )
-    task = cluster.WorkerTask(
-        shard=whole_shard(data, args.shard_id),
-        model=models[0],
-        n_splits=plan.n_splits,
-        config=config,
-        seed=cluster.worker_seed(config.seed, args.shard_id),
-        stream_path=stream_path,
+    model = _load_models([args.model])[0]
+    # unset flags take their defaults from cluster.RunConfig, as in `run`
+    config = _run_config({k: v for k, v in vars(args).items() if v is not None})
+    task = cluster.shard_task(
+        whole_shard(data, args.shard_id),
+        model,
+        plan.n_splits,
+        config,
+        stream_dir=os.path.dirname(os.path.abspath(args.out)),
     )
+    if args.stream_out is not None:
+        task.stream_path = args.stream_out
     result = cluster.run_worker(task)
     cluster.write_worker_result(result, args.out)
     print(f"wrote {args.out} (shard {args.shard_id}, {result.n_obs} rows)")
     return 0
 
 
+# the split count, the comparison, each model's combined estimate, and each
+# model's results by shard id
+_Combined = Tuple[int, ModelComparison, List[EvidenceEstimate], Dict[str, List[cluster.WorkerResult]]]
+
+
 def _combine_results(
     models: Sequence[ModelSpec],
     results: Sequence[cluster.WorkerResult],
-) -> Tuple[int, ModelComparison, List[EvidenceEstimate], Dict[str, List[cluster.WorkerResult]]]:
+) -> _Combined:
     by_model: Dict[str, List[cluster.WorkerResult]] = {}
     for result in results:
         by_model.setdefault(result.model_id, []).append(result)
@@ -286,17 +284,26 @@ def _combine_results(
     return n_splits, comparison, estimates, by_model
 
 
+def _write_outputs(
+    evidence_path: str,
+    report_path: Optional[str],
+    label: str,
+    combined: _Combined,
+) -> None:
+    """Write ``evidence.json``, the report CSV if asked for, and the printed summary."""
+    n_splits, comparison, estimates, by_model = combined
+    with open(evidence_path, "w") as handle:
+        handle.write(_evidence_json(n_splits, comparison, estimates))
+    if report_path is not None:
+        _write_report_csv(report_path, comparison, estimates, by_model)
+    _print_summary(n_splits, label, comparison, estimates)
+
+
 def _cmd_combine(args) -> int:
     models = _load_models(args.model)
     results = [cluster.read_worker_result(path) for path in args.results]
-    if not results:
-        raise ConfigurationError("no result files given")
-    n_splits, comparison, estimates, by_model = _combine_results(models, results)
-    with open(args.out, "w") as handle:
-        handle.write(_evidence_json(n_splits, comparison, estimates))
-    if args.report is not None:
-        _write_report_csv(args.report, comparison, estimates, by_model)
-    _print_summary(n_splits, results[0].evidence_method, comparison, estimates)
+    combined = _combine_results(models, results)
+    _write_outputs(args.out, args.report, results[0].evidence_method, combined)
     return 0
 
 
@@ -339,8 +346,7 @@ def _cmd_run(args) -> int:
     os.makedirs(out, exist_ok=True)
     write_plan(plan, os.path.join(out, "plan.json"))
 
-    estimates: List[EvidenceEstimate] = []
-    per_model_results: Dict[str, List[cluster.WorkerResult]] = {}
+    results: List[cluster.WorkerResult] = []
     sizes = plan.sizes()
     for model in models:
         model_dir = os.path.join(out, model.model_id)
@@ -350,25 +356,24 @@ def _cmd_run(args) -> int:
                 sys.stderr.write(
                     f"access model={model.model_id} shard={sid} rows={sizes[sid]}\n"
                 )
-        results = cluster.run_cluster(data, plan, model, config, stream_dir=model_dir)
-        for result in results:
+        for result in cluster.run_cluster(data, plan, model, config, stream_dir=model_dir):
             cluster.write_worker_result(
                 result, os.path.join(model_dir, f"result_{result.shard_id}.json")
             )
-        estimates.append(cluster.combine_worker_results(model, results))
-        per_model_results[model.model_id] = list(results)
+            results.append(result)
 
-    comparison = compare_models([m.model_id for m in models], estimates)
-    with open(os.path.join(out, "evidence.json"), "w") as handle:
-        handle.write(_evidence_json(plan.n_splits, comparison, estimates))
-    _write_report_csv(
-        os.path.join(out, "report.csv"), comparison, estimates, per_model_results
+    combined = _combine_results(models, results)
+    _write_outputs(
+        os.path.join(out, "evidence.json"), os.path.join(out, "report.csv"), config.mode, combined
     )
-    _print_summary(plan.n_splits, config.mode, comparison, estimates)
     return 0
 
 
 def _cmd_rjmcmc(args) -> int:
+    if not args.samples > args.burn_in >= 0:
+        raise ConfigurationError("need samples > burn_in >= 0")
+    if args.min_visits < 0:
+        raise ConfigurationError(f"min_visits must be non-negative, got {args.min_visits}")
     data = load_csv(args.data)
     base = _load_models([args.model])[0]
     indicators = []
@@ -401,7 +406,7 @@ def _cmd_rjmcmc(args) -> int:
     for i, first in enumerate(indicators):
         for second in indicators[i + 1 :]:
             key = f"{first.bits}|{second.bits}"
-            log_bf[key] = _f(
+            log_bf[key] = float(
                 distributed_log_bf(outputs, first, second, base, plan.n_splits)
             )
     if indicators:
@@ -433,11 +438,6 @@ def _cmd_rjmcmc(args) -> int:
     return 0
 
 
-def _diagnose_seed(seed: int, n_splits: int, repetition: int) -> int:
-    stream = np.random.SeedSequence(seed, spawn_key=(n_splits, repetition))
-    return int(stream.generate_state(1, np.uint64)[0])
-
-
 def _cmd_diagnose(args) -> int:
     base = _run_config(vars(args))
     data, models = make_synthetic(args.scenario, seed=args.seed)
@@ -462,7 +462,7 @@ def _cmd_diagnose(args) -> int:
     rows = []
     for n_splits in split_values:
         for rep in range(args.repetitions):
-            master = _diagnose_seed(args.seed, n_splits, rep)
+            master = cluster.derived_seed(args.seed, n_splits, rep)
             plan = uniform_split(data.X.shape[0], n_splits, seed=master)
             config = replace(base, seed=master)
             for model in models:
@@ -476,7 +476,7 @@ def _cmd_diagnose(args) -> int:
                         model.model_id,
                         str(n_splits),
                         str(rep),
-                        repr(_f(estimate.log_value)),
+                        repr(float(estimate.log_value)),
                         estimate.method,
                         str(elapsed_ms),
                     )
@@ -530,13 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--shard-id", dest="shard_id", type=int, required=True)
-    p.add_argument("--mode", choices=cluster.MODES, default="approx")
-    p.add_argument("--evidence", choices=cluster.EVIDENCE_METHODS, default=None)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=2_000)
-    p.add_argument("--evidence-samples", dest="evidence_samples", type=int,
-                   default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    # the run settings default to None: cluster.RunConfig supplies them
+    p.add_argument("--mode", choices=cluster.MODES)
+    p.add_argument("--evidence", choices=cluster.EVIDENCE_METHODS)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--burn-in", dest="burn_in", type=int)
+    p.add_argument("--evidence-samples", dest="evidence_samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--stream-out", dest="stream_out", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_worker)

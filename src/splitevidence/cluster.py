@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .evidence import (
 from .gaussian import GaussianMoments
 from .models import (
     Dataset,
-    LinearKnownVar,
     LogisticLikelihood,
     ModelSpec,
     NormalPrior,
@@ -134,8 +133,8 @@ class RunConfig:
 class WorkerTask:
     """Everything one worker needs; holds only its own shard.
 
-    ``seed`` is the worker's own seed, derived from ``config.seed`` and the
-    shard id by ``worker_seed``.
+    Built by ``shard_task``, which derives ``seed`` from ``config.seed``
+    and the shard id.
     """
 
     shard: Shard
@@ -216,37 +215,22 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
     model = task.model
     n_splits = task.n_splits
     config = task.config
-    common = dict(
-        shard_id=shard.shard_id,
-        model_id=model.model_id,
-        n_obs=int(shard.X.shape[0]),
-        dim=model.theta_dim,
-        n_splits=n_splits,
-        seed=task.seed,
-    )
+    chain = stream = stream_path = None
 
     if config.mode == "exact":
         # analytic bypass for conjugate linear models, used to exercise the
-        # protocol without Monte Carlo noise
+        # protocol without Monte Carlo noise; the closed forms reject any
+        # other model
         from .diagnostics import exact_local_evidence, exact_local_moments
 
-        if not isinstance(model.likelihood, LinearKnownVar):
-            raise ConfigurationError(
-                "exact mode requires a linear likelihood with known noise"
-            )
         mom = exact_local_moments(model, shard, n_splits)
-        value = exact_local_evidence(model, shard, n_splits)
-        return WorkerResult(
-            n_samples=0,
-            mean=mom.mean,
-            cov=mom.cov,
-            evidence_method="exact",
-            log_local_evidence=float(value),
-            evidence_std_err=None,
-            **common,
+        est = EvidenceEstimate(
+            log_value=float(exact_local_evidence(model, shard, n_splits)),
+            mc_std_err=None,
+            method="exact",
+            n_samples_used=0,
         )
-
-    if config.mode == "conditional":
+    elif config.mode == "conditional":
         chain, stream = pg_gibbs_logistic(
             model,
             shard,
@@ -257,63 +241,80 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
         )
         mom = chain_moments(chain)
         est = chib_log_evidence(model, shard, n_splits, chain, stream)
-        stream_path = None
         if task.stream_path is not None:
             write_stream(stream, task.stream_path)
             stream_path = str(task.stream_path)
-        return WorkerResult(
-            n_samples=chain.n_retained,
-            mean=mom.mean,
-            cov=mom.cov,
-            evidence_method="chib",
-            log_local_evidence=est.log_value,
-            evidence_std_err=est.mc_std_err,
-            acceptance_rate=chain.acceptance_rate,
-            conditional_stream_path=stream_path,
-            stream=stream,
-            **common,
-        )
-
-    # approx mode: adaptive random-walk chain started at the Laplace fit
-    fit = laplace_fit(model, shard, n_splits)
-    target = subposterior_closure(model, shard, n_splits)
-    chain = rwmh_chain(
-        target,
-        fit.mean,
-        n_iter=config.samples,
-        burn_in=config.burn_in,
-        seed=task.seed,
-        init_cov=fit.cov,
-    )
-    mom = chain_moments(chain)
-    if config.evidence == "importance":
-        est = importance_log_evidence(
-            model,
-            shard,
-            n_splits,
-            mom,
-            n_samples=config.evidence_samples,
-            seed=derived_seed_from_task(task),
-        )
     else:
-        est = laplace_metropolis_log_evidence(model, shard, n_splits, mom)
+        # approx mode: adaptive random-walk chain started at the Laplace fit
+        fit = laplace_fit(model, shard, n_splits)
+        target = subposterior_closure(model, shard, n_splits)
+        chain = rwmh_chain(
+            target,
+            fit.mean,
+            n_iter=config.samples,
+            burn_in=config.burn_in,
+            seed=task.seed,
+            init_cov=fit.cov,
+        )
+        mom = chain_moments(chain)
+        if config.evidence == "importance":
+            est = importance_log_evidence(
+                model,
+                shard,
+                n_splits,
+                mom,
+                n_samples=config.evidence_samples,
+                # the evidence stage gets its own stream so changing the chain
+                # length does not shift the importance draws
+                seed=derived_seed(task.seed, shard.shard_id, _ROLE_EVIDENCE),
+            )
+        else:
+            est = laplace_metropolis_log_evidence(model, shard, n_splits, mom)
+
     return WorkerResult(
-        n_samples=chain.n_retained,
+        shard_id=shard.shard_id,
+        model_id=model.model_id,
+        n_obs=int(shard.X.shape[0]),
+        dim=model.theta_dim,
+        n_splits=n_splits,
+        n_samples=0 if chain is None else chain.n_retained,
+        seed=task.seed,
         mean=mom.mean,
         cov=mom.cov,
-        evidence_method=config.evidence,
+        evidence_method=est.method,
         log_local_evidence=est.log_value,
         evidence_std_err=est.mc_std_err,
-        acceptance_rate=chain.acceptance_rate,
+        acceptance_rate=None if chain is None else chain.acceptance_rate,
         ess=est.ess,
-        **common,
+        conditional_stream_path=stream_path,
+        stream=stream,
     )
 
 
-def derived_seed_from_task(task: WorkerTask) -> int:
-    # the evidence stage gets its own stream so changing the chain length
-    # does not shift the importance draws
-    return derived_seed(task.seed, task.shard.shard_id, _ROLE_EVIDENCE)
+def shard_task(
+    shard: Shard,
+    model: ModelSpec,
+    n_splits: int,
+    config: RunConfig,
+    stream_dir: Optional[str] = None,
+) -> WorkerTask:
+    """The task of one shard: the one place a worker's seed and stream file are set.
+
+    Worker s draws from ``worker_seed(config.seed, s)``.  In conditional
+    mode with a ``stream_dir``, it writes its stream to
+    ``<stream_dir>/cond_<s>.ndjson``.
+    """
+    stream_path = None
+    if config.mode == "conditional" and stream_dir is not None:
+        stream_path = f"{stream_dir}/cond_{shard.shard_id}.ndjson"
+    return WorkerTask(
+        shard=shard,
+        model=model,
+        n_splits=n_splits,
+        config=config,
+        seed=worker_seed(config.seed, shard.shard_id),
+        stream_path=stream_path,
+    )
 
 
 def make_tasks(
@@ -323,22 +324,10 @@ def make_tasks(
     config: RunConfig,
     stream_dir: Optional[str] = None,
 ) -> List[WorkerTask]:
-    tasks = []
-    for shard in plan.shards(data):
-        stream_path = None
-        if config.mode == "conditional" and stream_dir is not None:
-            stream_path = f"{stream_dir}/cond_{shard.shard_id}.ndjson"
-        tasks.append(
-            WorkerTask(
-                shard=shard,
-                model=model,
-                n_splits=plan.n_splits,
-                config=config,
-                seed=worker_seed(config.seed, shard.shard_id),
-                stream_path=stream_path,
-            )
-        )
-    return tasks
+    return [
+        shard_task(shard, model, plan.n_splits, config, stream_dir)
+        for shard in plan.shards(data)
+    ]
 
 
 def run_cluster(
@@ -350,35 +339,30 @@ def run_cluster(
 ) -> List[WorkerResult]:
     """Fan out one task per shard, fan in; exactly one result per shard.
 
-    Every worker runs under the same ``config``; worker s draws from
-    ``worker_seed(config.seed, s)``.  In conditional mode with a
-    ``stream_dir``, worker s also writes its stream to
-    ``<stream_dir>/cond_<s>.ndjson``.  Workers run in a thread pool (degree
+    Every worker runs under the same ``config``, with the task
+    ``shard_task`` builds for its shard.  Workers run in a thread pool (degree
     ``config.parallelism``); results come back ordered by shard id
     regardless of scheduling.  Any failure aborts the whole run with a
     per-shard report.
     """
     tasks = make_tasks(data, plan, model, config, stream_dir)
-    results: List[Optional[WorkerResult]] = [None] * len(tasks)
-    failures: Dict[int, str] = {}
     if config.parallelism == 1:
-        for i, task in enumerate(tasks):
-            try:
-                results[i] = run_worker(task)
-            except WorkerError as exc:
-                failures[task.shard.shard_id] = str(exc)
+        outcomes = [_attempt(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = [pool.submit(run_worker, task) for task in tasks]
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result()
-                except WorkerError as exc:
-                    failures[tasks[i].shard.shard_id] = str(exc)
+            outcomes = list(pool.map(_attempt, tasks))
+    failures = [str(o) for o in outcomes if isinstance(o, WorkerError)]
     if failures:
-        report = "; ".join(msg for _, msg in sorted(failures.items()))
-        raise WorkerError(f"{len(failures)} worker(s) failed: {report}")
-    return sorted(results, key=lambda r: r.shard_id)
+        raise WorkerError(f"{len(failures)} worker(s) failed: {'; '.join(failures)}")
+    return sorted(outcomes, key=lambda r: r.shard_id)
+
+
+def _attempt(task: WorkerTask) -> WorkerResult | WorkerError:
+    """The task's result, or the WorkerError it failed with."""
+    try:
+        return run_worker(task)
+    except WorkerError as exc:
+        return exc
 
 
 def _resolve_stream(result: WorkerResult) -> ConditionalGaussianStream:

@@ -269,15 +269,16 @@ def softplus_sum(linpred: np.ndarray, axis: Optional[int] = None):
     goes through this kernel; ``log_likelihood`` keeps ``np.logaddexp`` as the
     reference.  When every x is below 700, exp(x) is finite and log1p(exp(x))
     exact to rounding: max, exp, log1p and sum in one buffer.  Otherwise (or on
-    NaN) it is (sum x + sum |x|) / 2 + sum log1p(exp(-|x|)), with exp and log1p
-    run in place on the one temporary, the |x| buffer.
+    NaN) it is sum max(x, 0) + sum log1p(exp(-|x|)), with exp and log1p run in
+    place on the |x| buffer.  The positive parts are summed as they are: the
+    form (sum x + sum |x|) / 2 would cancel them next to a huge negative x.
     """
     linpred = np.asarray(linpred, dtype=float)
     if linpred.size and linpred.max() < 700.0:
         out = np.exp(linpred)
         return np.log1p(out, out=out).sum(axis=axis)
+    pos = np.maximum(linpred, 0.0).sum(axis=axis)
     mag = np.abs(linpred)
-    pos = 0.5 * (linpred.sum(axis=axis) + mag.sum(axis=axis))
     np.negative(mag, out=mag)
     np.exp(mag, out=mag)
     np.log1p(mag, out=mag)

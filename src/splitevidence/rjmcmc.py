@@ -259,7 +259,9 @@ def rjmcmc_sample(
     birth/death jump that toggles a uniformly chosen feature, the entering
     coefficient drawn from its subprior marginal.  Sojourn counts and
     per-model moments accumulate after burn-in; moments are kept only for
-    models visited at least ``min_visits`` times.
+    models visited at least ``min_visits`` times whose covariance passes
+    the positive-definiteness check ``rj_output_from_json`` applies, so
+    every output reads back.
     """
     p = base.dim
     if p > MAX_FEATURES:
@@ -341,11 +343,15 @@ def rjmcmc_sample(
     visit_counts = {
         ModelIndicator(a, p): c for a, c in sorted(counts.items())
     }
-    moments = {
-        ModelIndicator(a, p): GaussianMoments(mean=acc.mean.copy(), cov=acc.cov())
-        for a, acc in accum.items()
-        if counts[a] >= min_visits and acc.count >= 2
-    }
+    moments = {}
+    for a, acc in accum.items():
+        if counts[a] >= min_visits and acc.count >= 2:
+            cov = acc.cov()
+            try:
+                wire.spd_matrices([cov.ravel()], cov.shape[0], "covariance")
+            except DecodeError:
+                continue  # too few distinct draws: the count stays, the summary is null
+            moments[ModelIndicator(a, p)] = GaussianMoments(mean=acc.mean.copy(), cov=cov)
     return RJOutput(
         n_features=p,
         visit_counts=visit_counts,

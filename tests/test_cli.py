@@ -526,6 +526,27 @@ class TestWorkerCombineByHand:
         ) == 0
         assert evidence_path.read_bytes() == (out / "evidence.json").read_bytes()
 
+    def test_worker_and_run_share_their_defaults(self, conjugate_fixture, tmp_path):
+        # no chain flags on either side: both take cluster.RunConfig's defaults
+        out = tmp_path / "auto"
+        assert cli.main(
+            ["run", "--data", conjugate_fixture["data"], "--model",
+             conjugate_fixture["model"], "--splits", "2", "--out", str(out)]
+        ) == 0
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(
+            ["shard", "--data", conjugate_fixture["data"], "--splits", "2",
+             "--out", str(plan_path)]
+        ) == 0
+        for sid in range(2):
+            result_path = tmp_path / f"result_{sid}.json"
+            assert cli.main(
+                ["worker", "--data", conjugate_fixture["data"], "--model",
+                 conjugate_fixture["model"], "--plan", str(plan_path), "--shard-id",
+                 str(sid), "--out", str(result_path)]
+            ) == 0
+            assert result_path.read_bytes() == (out / "m1" / f"result_{sid}.json").read_bytes()
+
     def test_conditional_flow_round_trips_streams(self, logistic_fixture, tmp_path):
         out = tmp_path / "auto"
         flags = ["--samples", "400", "--burn-in", "100"]
@@ -1054,6 +1075,7 @@ class TestErrorReporting:
         [
             ({"splits": "2"}, "bad config value"),
             ({"samples": "x"}, "bad config value"),
+            ({"samples": None}, "bad config value"),
             ({"strategy": "bogus"}, "unknown strategy 'bogus'"),
             ({"seed": -1}, "seed must be non-negative"),
             (
@@ -1061,7 +1083,7 @@ class TestErrorReporting:
                 "needs evidence_samples >= 100, got 50",
             ),
         ],
-        ids=["splits", "samples", "strategy", "seed", "evidence-samples"],
+        ids=["splits", "samples", "samples-null", "strategy", "seed", "evidence-samples"],
     )
     def test_bad_config_value(self, conjugate_fixture, tmp_path, capsys, setting, message):
         cfg = tmp_path / "cfg.json"
@@ -1081,6 +1103,27 @@ class TestErrorReporting:
         assert error["code"] == "E_INPUT"
         assert message in error["message"]
 
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--samples", "300", "--burn-in", "300"], "need samples > burn_in >= 0"),
+            (["--samples", "300", "--burn-in", "100", "--min-visits", "-1"],
+             "min_visits must be non-negative, got -1"),
+        ],
+        ids=["burn-in", "min-visits"],
+    )
+    def test_bad_rjmcmc_chain_setting(self, logistic_fixture, tmp_path, capsys, flags, message):
+        out = tmp_path / "rj"
+        code = cli.main(
+            ["rjmcmc", "--data", logistic_fixture["data"], "--model",
+             logistic_fixture["model"], "--splits", "2", *flags, "--out", str(out)]
+        )
+        assert code == 1
+        error = _read_error(capsys)
+        assert error["code"] == "E_INPUT"
+        assert message in error["message"]
+        assert not out.exists()  # checked before any shard is sampled
 
     @pytest.mark.parametrize("name, edit", MALFORMED_DOCUMENTS)
     def test_malformed_document_rejected(self, exchange, tmp_path, capsys, name, edit):

@@ -347,6 +347,19 @@ class TestSoftplusSum:
             atol=1e-12,
         )
 
+    def test_slow_path_keeps_positive_parts_beside_huge_negatives(self):
+        # an entry at or above 700 takes the |x| form; there the positive
+        # parts must not cancel against a -1e17 entry
+        x = np.array([700.5, 3.3, -1e17])
+        np.testing.assert_allclose(
+            softplus_sum(x), np.logaddexp(0.0, x).sum(), rtol=1e-12
+        )
+        # the second column holds no large entry but shares the slow path
+        block = np.array([[700.5, 1.0], [3.3, 2.0], [-1e17, -1e17]])
+        np.testing.assert_allclose(
+            softplus_sum(block, axis=0), np.logaddexp(0.0, block).sum(axis=0), rtol=1e-12
+        )
+
     @pytest.mark.parametrize("top", [699.9, 700.0, 700.1, 710.0])
     def test_either_side_of_the_guard(self, top):
         # maxima just below, at and above the switch to the |x| form, and

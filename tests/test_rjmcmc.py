@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import chisquare
 
-from splitevidence.diagnostics import exact_local_evidence, exact_local_moments
+from splitevidence.diagnostics import exact_local_evidence, exact_local_moments, make_synthetic
 from splitevidence.errors import DecodeError, DomainError, UnexploredModelError
 from splitevidence.gaussian import GaussianMoments
 from splitevidence.models import (
@@ -437,6 +437,30 @@ class TestSerialization:
         for ind, mom in out.moments.items():
             assert np.array_equal(back.moments[ind].mean, mom.mean)
             assert np.array_equal(back.moments[ind].cov, mom.cov)
+
+    def test_few_visits_per_model_still_read_back(self):
+        # 300 retained draws over 2^5 models: some models sit at a few
+        # distinct points, and their singular covariance is written as null
+        data, models = make_synthetic("rj_mixture", seed=0)
+        base = next(m for m in models if m.model_id == "full")
+        plan = uniform_split(data.X.shape[0], 2, seed=0)
+        outputs = []
+        for shard in plan.shards(data):
+            out = rjmcmc_sample(base, shard, 2, n_iter=400, burn_in=100, seed=0, min_visits=0)
+            back = rj_output_from_json(rj_output_to_json(out))
+            assert back.visit_counts == out.visit_counts
+            assert set(back.moments) == set(out.moments)
+            for ind, mom in out.moments.items():
+                assert np.array_equal(back.moments[ind].cov, mom.cov)
+            outputs.append(out)
+        nulls = [
+            ind for ind, count in outputs[0].visit_counts.items()
+            if ind.size and count >= 2 and ind not in outputs[0].moments
+        ]
+        assert nulls  # the run does reach the null-summary case
+        full = ModelIndicator(tuple(range(base.dim)), base.dim)
+        with pytest.raises(UnexploredModelError, match="has no moment summary on shard 0"):
+            distributed_log_bf(outputs, nulls[0], full, base, 2)
 
     def test_decode_rejects_malformed(self):
         out = self._sample_output()
