@@ -149,6 +149,7 @@ def _write_report_csv(
     comparison: ModelComparison,
     estimates: Sequence[EvidenceEstimate],
     per_model_results: Dict[str, Sequence[cluster.WorkerResult]],
+    result_paths: Dict[Tuple[str, int], str],
 ) -> None:
     """Tidy long-format report: one metric per row, blank where not applicable."""
     rows: List[Tuple[str, str, str, str, str]] = []
@@ -168,7 +169,8 @@ def _write_report_csv(
     for model_id in ids:
         for result in per_model_results.get(model_id, ()):
             sid = str(result.shard_id)
-            payload = len(cluster.encode_worker_result(result))
+            # the size of the result file as written
+            payload = os.path.getsize(result_paths[model_id, result.shard_id])
             rows.append(("n_obs", model_id, "", sid, str(result.n_obs)))
             rows.append(
                 ("acceptance_rate", model_id, "", sid, _opt_float(result.acceptance_rate))
@@ -231,6 +233,10 @@ def _cmd_shard(args) -> int:
 
 
 def _cmd_worker(args) -> int:
+    # unset flags take their defaults from cluster.RunConfig, as in `run`
+    config = _run_config({k: v for k, v in vars(args).items() if v is not None})
+    if args.stream_out is not None and config.mode != "conditional":
+        raise ConfigurationError(f"--stream-out needs conditional mode, not {config.mode}")
     plan = read_plan(args.plan)
     if not 0 <= args.shard_id < plan.n_splits:
         raise ConfigurationError(
@@ -238,8 +244,6 @@ def _cmd_worker(args) -> int:
         )
     data = load_csv(args.data, rows=plan.assignment == args.shard_id)
     model = _load_models([args.model])[0]
-    # unset flags take their defaults from cluster.RunConfig, as in `run`
-    config = _run_config({k: v for k, v in vars(args).items() if v is not None})
     task = cluster.shard_task(
         whole_shard(data, args.shard_id),
         model,
@@ -289,13 +293,14 @@ def _write_outputs(
     report_path: Optional[str],
     label: str,
     combined: _Combined,
+    result_paths: Dict[Tuple[str, int], str],
 ) -> None:
     """Write ``evidence.json``, the report CSV if asked for, and the printed summary."""
     n_splits, comparison, estimates, by_model = combined
     with open(evidence_path, "w") as handle:
         handle.write(_evidence_json(n_splits, comparison, estimates))
     if report_path is not None:
-        _write_report_csv(report_path, comparison, estimates, by_model)
+        _write_report_csv(report_path, comparison, estimates, by_model, result_paths)
     _print_summary(n_splits, label, comparison, estimates)
 
 
@@ -303,7 +308,8 @@ def _cmd_combine(args) -> int:
     models = _load_models(args.model)
     results = [cluster.read_worker_result(path) for path in args.results]
     combined = _combine_results(models, results)
-    _write_outputs(args.out, args.report, results[0].evidence_method, combined)
+    paths = {(r.model_id, r.shard_id): path for r, path in zip(results, args.results)}
+    _write_outputs(args.out, args.report, results[0].evidence_method, combined, paths)
     return 0
 
 
@@ -347,6 +353,7 @@ def _cmd_run(args) -> int:
     write_plan(plan, os.path.join(out, "plan.json"))
 
     results: List[cluster.WorkerResult] = []
+    paths: Dict[Tuple[str, int], str] = {}
     sizes = plan.sizes()
     for model in models:
         model_dir = os.path.join(out, model.model_id)
@@ -357,14 +364,15 @@ def _cmd_run(args) -> int:
                     f"access model={model.model_id} shard={sid} rows={sizes[sid]}\n"
                 )
         for result in cluster.run_cluster(data, plan, model, config, stream_dir=model_dir):
-            cluster.write_worker_result(
-                result, os.path.join(model_dir, f"result_{result.shard_id}.json")
-            )
+            path = os.path.join(model_dir, f"result_{result.shard_id}.json")
+            cluster.write_worker_result(result, path)
             results.append(result)
+            paths[model.model_id, result.shard_id] = path
 
     combined = _combine_results(models, results)
     _write_outputs(
-        os.path.join(out, "evidence.json"), os.path.join(out, "report.csv"), config.mode, combined
+        os.path.join(out, "evidence.json"), os.path.join(out, "report.csv"), config.mode,
+        combined, paths,
     )
     return 0
 

@@ -146,6 +146,11 @@ class WorkerTask:
 
     def __post_init__(self):
         check_compatible(self.model, self.shard)
+        retained, d = self.config.samples - self.config.burn_in, self.model.theta_dim
+        if self.config.mode != "exact" and retained < d + 2:
+            raise ConfigurationError(
+                f"samples - burn_in = {retained}: moments need at least dim+2 = {d + 2} draws"
+            )
         if self.config.mode == "conditional":
             ok = isinstance(self.model.likelihood, LogisticLikelihood) and isinstance(
                 self.model.prior, NormalPrior

@@ -7,39 +7,65 @@ over a stack of precisions) and ``log_product_integrals``, the one kernel
 for the log integral of a product of Gaussians, used for the approximate,
 the conditional and the reversible-jump I_sub alike.  Everything is routed
 through Cholesky factors; no matrix is ever inverted explicitly for a
-quadratic form.
+quadratic form.  ``chol_spd`` is the one check that a matrix, or each of a
+stack, is symmetric positive definite, and ``sample_moments`` the one mean
+and covariance of a set of draws.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve
 
 from .errors import DomainError, SpdError
 
 LOG_2PI = math.log(2.0 * math.pi)
+SYM_TOL = 1e-10  # relative asymmetry a symmetric matrix may carry
 
 
-def chol_spd(a: np.ndarray, sym_tol: float = 1e-10, what: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+def chol_spd(a: np.ndarray, what: str = "matrix", item: Optional[str] = None) -> np.ndarray:
+    """Lower Cholesky factor of one SPD matrix, or of each in a (..., d, d) stack.
 
-    Raises SpdError carrying the smallest eigenvalue when the matrix is
-    asymmetric beyond ``sym_tol`` (relative) or not positive definite.
+    A matrix fails when an entry is not finite, when it is asymmetric beyond
+    ``SYM_TOL`` relative to max(1, its largest entry), or when it is not
+    positive definite; 0 x 0 matrices pass.  SpdError names the first that
+    fails, as ``<what> <item> <k>`` for a stack when ``item`` is given (k
+    counted from 1 on each leading axis), with the smallest eigenvalue of an
+    indefinite one.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise SpdError(f"{what} is not square: shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if a.size and float(np.abs(a - a.T).max()) > sym_tol * scale:
-        raise SpdError(f"{what} is not symmetric to tolerance {sym_tol}")
+    mats = a.reshape(math.prod(a.shape[:-2]), *a.shape[-2:])
+
+    def fail(k: int, problem: str, min_eigenvalue: Optional[float] = None):
+        where = what
+        if item is not None and a.ndim > 2:
+            index = np.unravel_index(k, a.shape[:-2])
+            where = f"{what} {item} {','.join(str(i + 1) for i in index)}"
+        raise SpdError(f"{where} {problem}", min_eigenvalue=min_eigenvalue)
+
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        fail(int(np.argmin(finite)), "is not finite")
+    flipped = mats.swapaxes(1, 2)
+    if (mats != flipped).any():  # most matrices are exactly symmetric
+        scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)
+        asym = np.abs(mats - flipped).max(axis=(1, 2)) > SYM_TOL * scale
+        if asym.any():
+            fail(int(np.argmax(asym)), f"is not symmetric to tolerance {SYM_TOL}")
     try:
-        return cholesky(a, lower=True)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(a).min()) if a.size else float("nan")
-        raise SpdError(f"{what} is not positive definite", min_eigenvalue=min_eig) from None
+        for k, mat in enumerate(mats):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                fail(k, "is not positive definite", float(np.linalg.eigvalsh(mat).min()))
+        raise
 
 
 @dataclass(eq=False)
@@ -63,6 +89,15 @@ class GaussianMoments:
 
     def chol(self) -> np.ndarray:
         return chol_spd(self.cov, what="covariance")
+
+
+def sample_moments(draws: np.ndarray) -> GaussianMoments:
+    """Mean and symmetrized sample covariance (ddof=1) of the rows of ``draws``."""
+    draws = np.asarray(draws, dtype=float)
+    mean = draws.mean(axis=0)
+    centred = draws - mean
+    cov = centred.T @ centred / (draws.shape[0] - 1)
+    return GaussianMoments(mean=mean, cov=0.5 * (cov + cov.T))
 
 
 def _inverse_and_solve(low: np.ndarray, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -99,12 +134,7 @@ def batched_log_normalizer(eta: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """
     lams = np.asarray(lams, dtype=float)
     p = lams.shape[-1]
-    try:
-        chols = np.linalg.cholesky(lams)
-    except np.linalg.LinAlgError:
-        for idx in np.ndindex(lams.shape[:-2]):
-            chol_spd(lams[idx], what=f"precision record {','.join(map(str, idx))}")
-        raise
+    chols = chol_spd(lams, what="precision", item="record")
     logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=-2, axis2=-1)), axis=-1)
     rhs = np.broadcast_to(eta, lams.shape[:-1])[..., None]
     half = np.linalg.solve(chols, rhs)[..., 0]

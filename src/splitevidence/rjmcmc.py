@@ -20,9 +20,9 @@ import numpy as np
 from scipy.special import betaln, gammaln
 
 from . import wire
-from .errors import DecodeError, DomainError, SchemaVersionError, UnexploredModelError
+from .errors import DecodeError, DomainError, SchemaVersionError, SpdError, UnexploredModelError
 from .evidence import approx_isub
-from .gaussian import GaussianMoments, chol_spd
+from .gaussian import GaussianMoments, chol_spd, sample_moments
 from .models import (
     LaplacePrior,
     ModelSpec,
@@ -31,7 +31,7 @@ from .models import (
     check_compatible,
     log_alpha,
 )
-from .samplers import RunningMoments, laplace_fit, subposterior_closure
+from .samplers import laplace_fit, subposterior_closure
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -258,10 +258,11 @@ def rjmcmc_sample(
     within-model random-walk update (skipped for the empty model) and one
     birth/death jump that toggles a uniformly chosen feature, the entering
     coefficient drawn from its subprior marginal.  Sojourn counts and
-    per-model moments accumulate after burn-in; moments are kept only for
-    models visited at least ``min_visits`` times whose covariance passes
-    the positive-definiteness check ``rj_output_from_json`` applies, so
-    every output reads back.
+    per-model draws accumulate after burn-in.  A model of dimension d keeps
+    the moments of its draws only when it was visited at least
+    max(``min_visits``, d + 2) times, the rule of ``chain_moments``, and its
+    covariance passes ``chol_spd``, the check ``rj_output_from_json``
+    applies, so every output reads back.
     """
     p = base.dim
     if p > MAX_FEATURES:
@@ -287,7 +288,7 @@ def rjmcmc_sample(
 
     rng = np.random.default_rng(seed)
     counts: Dict[Tuple[int, ...], int] = {}
-    accum: Dict[Tuple[int, ...], RunningMoments] = {}
+    kept: Dict[Tuple[int, ...], List[np.ndarray]] = {}
 
     for it in range(n_iter):
         # within-model random-walk move
@@ -334,24 +335,22 @@ def rjmcmc_sample(
         if it >= burn_in:
             counts[active] = counts.get(active, 0) + 1
             if entry["d"] > 0:
-                if active in accum:
-                    accum[active].add(theta)
-                else:
-                    accum[active] = RunningMoments(theta)
+                kept.setdefault(active, []).append(theta)
 
     retained = n_iter - burn_in
     visit_counts = {
         ModelIndicator(a, p): c for a, c in sorted(counts.items())
     }
     moments = {}
-    for a, acc in accum.items():
-        if counts[a] >= min_visits and acc.count >= 2:
-            cov = acc.cov()
-            try:
-                wire.spd_matrices([cov.ravel()], cov.shape[0], "covariance")
-            except DecodeError:
-                continue  # too few distinct draws: the count stays, the summary is null
-            moments[ModelIndicator(a, p)] = GaussianMoments(mean=acc.mean.copy(), cov=cov)
+    for a, draws in kept.items():
+        if len(draws) < max(min_visits, draws[0].shape[0] + 2):
+            continue
+        mom = sample_moments(draws)
+        try:
+            chol_spd(mom.cov, what="covariance")
+        except SpdError:
+            continue  # too few distinct draws: the count stays, the summary is null
+        moments[ModelIndicator(a, p)] = mom
     return RJOutput(
         n_features=p,
         visit_counts=visit_counts,

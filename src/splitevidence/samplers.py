@@ -41,7 +41,7 @@ from .errors import (
     EstimatorError,
     SpdError,
 )
-from .gaussian import GaussianMoments, chol_spd
+from .gaussian import GaussianMoments, chol_spd, sample_moments
 from .models import (
     LogisticLikelihood,
     ModelSpec,
@@ -212,18 +212,14 @@ class Chain:
 
 def chain_moments(chain: Chain) -> GaussianMoments:
     """Sample mean and covariance (ddof=1) of the retained draws."""
-    draws = chain.draws
-    n, d = draws.shape
+    n, d = chain.draws.shape
     if n < d + 2:
         raise EstimatorError(
             f"need at least dim+2 = {d + 2} retained draws for moments, have {n}"
         )
-    mean = draws.mean(axis=0)
-    centred = draws - mean
-    cov = centred.T @ centred / (n - 1)
-    cov = 0.5 * (cov + cov.T)
-    chol_spd(cov, what="chain covariance")
-    return GaussianMoments(mean=mean, cov=cov)
+    mom = sample_moments(chain.draws)
+    chol_spd(mom.cov, what="chain covariance")
+    return mom
 
 
 # ---------------------------------------------------------------------------
@@ -392,29 +388,7 @@ def subposterior_closure(model: ModelSpec, shard: Shard, n_splits: int) -> Subpo
 
 
 # ---------------------------------------------------------------------------
-# Running moments and random-walk Metropolis with burn-in-only adaptation.
-
-class RunningMoments:
-    """Welford's streaming mean and covariance, started at one point."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self, x: np.ndarray):
-        self.count = 1
-        self.mean = np.array(x, dtype=float)
-        self.m2 = np.zeros((self.mean.shape[0],) * 2)
-
-    def add(self, x: np.ndarray) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += np.outer(delta, x - self.mean)
-
-    def cov(self) -> np.ndarray:
-        """Sample covariance (ddof=1), symmetrized; needs two points."""
-        cov = self.m2 / (self.count - 1)
-        return 0.5 * (cov + cov.T)
-
+# Random-walk Metropolis with burn-in-only adaptation.
 
 _RWMH_ADAPT_INTERVAL = 100  # burn-in iterations between proposal refits
 _RWMH_TARGET_ACCEPT = 0.234  # Robbins-Monro target for the step scale
@@ -430,12 +404,14 @@ def rwmh_chain(
 ) -> Chain:
     """Gaussian random-walk Metropolis.
 
-    During burn-in the proposal covariance tracks (2.38^2/d) times the
-    running sample covariance (plus a 1e-6 jitter), with a Robbins-Monro
-    scalar step correction so badly scaled starting covariances recover.
-    Everything is frozen once burn-in ends, so the retained draws come from
-    a fixed-kernel chain.  Identical (seed, target, init, n_iter) arguments
-    reproduce the chain bit for bit.
+    Every ``_RWMH_ADAPT_INTERVAL`` burn-in iterations the proposal
+    covariance is refit to (2.38^2/d) times the sample covariance of the
+    stored burn-in states (plus a 1e-6 jitter): from ``init`` on, and from
+    the halfway point on once burn-in is half done, to drop the transient.
+    A Robbins-Monro scalar step correction lets badly scaled starting
+    covariances recover.  Everything is frozen once burn-in ends, so the
+    retained draws come from a fixed-kernel chain.  Identical (seed, target,
+    init, n_iter) arguments reproduce the chain bit for bit.
     """
     init = np.atleast_1d(np.asarray(init, dtype=float))
     d = init.shape[0]
@@ -454,8 +430,9 @@ def rwmh_chain(
     chol = chol_spd(scale * (base_cov + 1e-6 * np.eye(d)), what="proposal covariance")
     log_step = 0.0
 
-    # Running moments restart halfway through burn-in to drop the transient.
-    running = RunningMoments(init)
+    states = np.empty((burn_in + 1, d))  # init, then the state after each burn-in step
+    states[0] = init
+    start = 0  # first state of the refit window
     x = init.copy()
 
     for t in range(burn_in):
@@ -466,13 +443,13 @@ def rwmh_chain(
             x, fx = prop, fp
         acc_prob = math.exp(min(log_ratio, 0.0))
         log_step += (acc_prob - _RWMH_TARGET_ACCEPT) / (t + 1) ** 0.6
+        states[t + 1] = x
         if t == burn_in // 2:
-            running = RunningMoments(x)
-        else:
-            running.add(x)
-        if (t + 1) % _RWMH_ADAPT_INTERVAL == 0 and running.count > 2 * d:
+            start = t + 1
+        if (t + 1) % _RWMH_ADAPT_INTERVAL == 0 and t + 2 - start > 2 * d:
+            cov = sample_moments(states[start : t + 2]).cov
             try:
-                chol = chol_spd(scale * (running.cov() + 1e-6 * np.eye(d)), what="proposal")
+                chol = chol_spd(scale * (cov + 1e-6 * np.eye(d)), what="proposal")
             except SpdError:
                 pass  # keep the previous factor until the estimate is usable
 
@@ -547,20 +524,14 @@ def pg_gibbs_logistic(
     draws = np.empty((n_keep, d))
     precs = np.empty((n_keep, d, d))
     theta = density.prior_mean.copy()
+    what = f"conditional precision on shard {shard.shard_id}"
 
     for t in range(n_iter):
         linpred = Xa @ theta
         omega = sample_pg_vec(linpred, rng)
         lam = Xa.T @ (Xa * omega[:, None]) + prior_prec
         lam = 0.5 * (lam + lam.T)
-        try:
-            low = np.linalg.cholesky(lam)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(lam).min())
-            raise SpdError(
-                f"conditional precision on shard {shard.shard_id} is not SPD",
-                min_eigenvalue=min_eig,
-            ) from None
+        low = chol_spd(lam, what=what)
         # theta = lam^-1 eta + low^-T z with z ~ N(0, I)
         theta = np.linalg.solve(low.T, np.linalg.solve(low, eta) + rng.standard_normal(d))
         if t >= burn_in:

@@ -21,9 +21,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DecodeError
-
-SYM_TOL = 1e-10  # relative asymmetry a decoded matrix may carry, as in gaussian.chol_spd
+from .errors import DecodeError, SpdError
+from .gaussian import chol_spd
 
 _MISSING = object()
 
@@ -77,32 +76,17 @@ def numeric(value, shape: Sequence[Optional[int]], what: str, integer: bool = Fa
 def spd_matrices(rows, d: int, what: str, item: Optional[str] = None) -> np.ndarray:
     """``rows``, N row-major d*d lists, as a finite, symmetric, SPD (N, d, d) stack.
 
-    Each check runs once on the whole stack.  A failure names the first bad
-    matrix as ``<what> <item> <k>`` (k counted from 1) when ``item`` is given.
+    The stack is checked at once by ``gaussian.chol_spd``.  A failure names
+    the first bad matrix as ``<what> <item> <k>`` (k counted from 1) when
+    ``item`` is given.
     """
     if d < 1 or len(rows) == 0:
         raise DecodeError(f"{what} holds no {d} x {d} matrix")
     mats = numeric(rows, (None, d * d), what, item=item).reshape(-1, d, d)
-
-    def fail(k: int, problem: str):
-        where = what if item is None else f"{what} {item} {k + 1}"
-        raise DecodeError(f"{where} {problem}")
-
-    flipped = mats.transpose(0, 2, 1)
-    if (mats != flipped).any():  # written matrices are exactly symmetric
-        scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)
-        bad = np.flatnonzero(np.abs(mats - flipped).max(axis=(1, 2)) > SYM_TOL * scale)
-        if bad.size:
-            fail(int(bad[0]), f"is not symmetric to tolerance {SYM_TOL}")
     try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        for k, mat in enumerate(mats):
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                min_eig = float(np.linalg.eigvalsh(mat).min())
-                fail(k, f"is not positive definite (smallest eigenvalue {min_eig:.6g})")
+        chol_spd(mats, what, item)
+    except SpdError as exc:
+        raise DecodeError(str(exc)) from None
     return mats
 
 

@@ -310,6 +310,25 @@ class TestRunPipeline:
         payload_rows = [r for r in rows if r[0] == "payload_bytes"]
         assert len(payload_rows) == 1 and int(payload_rows[0][4]) > 0
 
+    def test_report_payload_is_result_file_size(self, logistic_fixture, tmp_path):
+        # a conditional result names its stream relative to the result file,
+        # so the bytes written differ from those of the in-memory result
+        out = tmp_path / "deeper" / "run"
+        assert cli.main(
+            ["run", "--data", logistic_fixture["data"], "--model", logistic_fixture["model"],
+             "--splits", "2", "--mode", "conditional", "--samples", "60", "--burn-in", "20",
+             "--out", str(out)]
+        ) == 0
+        results = [str(out / "m_a" / f"result_{s}.json") for s in range(2)]
+        assert cli.main(
+            ["combine", "--model", logistic_fixture["model"], "--results", *results,
+             "--report", str(tmp_path / "combined.csv"), "--out", str(tmp_path / "ev.json")]
+        ) == 0
+        for report in (out / "report.csv", tmp_path / "combined.csv"):
+            with open(report) as handle:
+                payload = [int(r[4]) for r in csv.reader(handle) if r[0] == "payload_bytes"]
+            assert payload == [os.path.getsize(path) for path in results]
+
     def test_verbose_access_log_isolates_shards(self, conjugate_fixture, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(
@@ -831,18 +850,22 @@ class TestErrorReporting:
         assert "nope.csv" in error["message"]
 
     @pytest.mark.parametrize(
-        "command, mode, evidence",
+        "command, settings, word",
         [
-            pytest.param(command, mode, evidence, id=label)
+            pytest.param(command, ["--mode", mode, "--evidence", evidence], "chib", id=label)
             for command in ("run", "worker", "diagnose")
             for mode, evidence, label in (
                 ("approx", "chib", command),
                 ("conditional", "importance", f"{command}-conditional-importance"),
             )
+        ] + [
+            # the stream is a conditional-mode output too
+            pytest.param("worker", ["--mode", "approx", "--stream-out", "cond_0.ndjson"],
+                         "--stream-out needs conditional mode", id="worker-stream-out"),
         ],
     )
     def test_chib_outside_conditional_mode(
-        self, conjugate_fixture, tmp_path, capsys, command, mode, evidence
+        self, conjugate_fixture, tmp_path, capsys, command, settings, word
     ):
         data = ["--data", conjugate_fixture["data"], "--model", conjugate_fixture["model"]]
         if command == "run":
@@ -856,13 +879,11 @@ class TestErrorReporting:
             argv = ["worker", *data, "--plan", plan_path, "--shard-id", "0"]
         else:
             argv = ["diagnose", "--scenario", "linear_conjugate", "--splits", "1"]
-        code = cli.main(
-            argv + ["--mode", mode, "--evidence", evidence, "--out", str(tmp_path / "out")]
-        )
+        code = cli.main(argv + settings + ["--out", str(tmp_path / "out")])
         assert code != 0
         error = _read_error(capsys)
         assert error["code"] == "E_INPUT"
-        assert "chib" in error["message"]
+        assert word in error["message"]
 
     def _two_workers(self, fixture, tmp_path, shard_flags):
         """Run shard s of a two-way plan with ``shard_flags[s]``; the result paths."""
@@ -1082,8 +1103,13 @@ class TestErrorReporting:
                 {"mode": "approx", "evidence": "importance", "evidence_samples": 50},
                 "needs evidence_samples >= 100, got 50",
             ),
+            (
+                {"mode": "approx", "samples": 3, "burn_in": 1},
+                "samples - burn_in = 2: moments need at least dim+2 = 7 draws",
+            ),
         ],
-        ids=["splits", "samples", "samples-null", "strategy", "seed", "evidence-samples"],
+        ids=["splits", "samples", "samples-null", "strategy", "seed", "evidence-samples",
+             "chain-too-short"],
     )
     def test_bad_config_value(self, conjugate_fixture, tmp_path, capsys, setting, message):
         cfg = tmp_path / "cfg.json"

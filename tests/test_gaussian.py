@@ -24,7 +24,7 @@ from splitevidence import (
     log_product_integrals,
     natural_params,
 )
-from splitevidence.gaussian import batched_log_normalizer, chol_spd
+from splitevidence.gaussian import batched_log_normalizer, chol_spd, sample_moments
 
 
 def random_spd(rng, p, scale=1.0):
@@ -194,9 +194,52 @@ class TestSpdChecks:
         with pytest.raises(SpdError):
             chol_spd(bad)
 
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            pytest.param([[1.0, 0.5], [0.0, 1.0]], "is not symmetric to tolerance 1e-10",
+                         id="asymmetric"),
+            pytest.param([[1.0, 2.0], [2.0, 1.0]], "is not positive definite", id="indefinite"),
+        ],
+    )
+    def test_stack_names_first_bad_matrix(self, bad, problem):
+        # records 3 and 5 fail; the error names record 3, counted from 1
+        stack = np.stack([np.eye(2)] * 2 + [bad, np.eye(2), bad])
+        with pytest.raises(SpdError, match=f"^precision of record 3 {problem}"):
+            chol_spd(stack, what="precision", item="of record")
+        lows = chol_spd(stack[:2], what="precision", item="of record")
+        np.testing.assert_array_equal(lows, stack[:2])
+
+    def test_stack_with_two_leading_axes_names_both_indices(self):
+        stack = np.stack([np.eye(2)] * 6).reshape(2, 3, 2, 2)
+        stack[1, 2] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(SpdError, match="^precision record 2,3 is not positive definite"):
+            chol_spd(stack, what="precision", item="record")
+
+    def test_empty_matrix_passes(self):
+        assert chol_spd(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_non_finite_rejected(self):
+        bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(SpdError, match="is not finite"):
+            chol_spd(bad)
+        with pytest.raises(SpdError, match="record 2 is not finite"):
+            chol_spd(np.stack([np.eye(2), np.diag([np.inf, 1.0])]), item="record")
+
     def test_moments_shape_mismatch(self):
         with pytest.raises(DomainError):
             GaussianMoments(mean=[0.0, 1.0], cov=[[1.0]])
+
+
+class TestSampleMoments:
+    def test_matches_numpy(self):
+        draws = np.random.default_rng(4).normal(size=(50, 3)) @ random_spd(
+            np.random.default_rng(5), 3
+        )
+        mom = sample_moments(draws)
+        np.testing.assert_allclose(mom.mean, np.mean(draws, axis=0), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(mom.cov, np.cov(draws, rowvar=False, ddof=1), rtol=1e-12)
+        np.testing.assert_array_equal(mom.cov, mom.cov.T)
 
 
 class TestBatchedNormalizer:
@@ -211,6 +254,6 @@ class TestBatchedNormalizer:
 
     def test_non_spd_record_aborts(self):
         eta = np.zeros(2)
-        lams = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
-        with pytest.raises((SpdError, np.linalg.LinAlgError)):
+        lams = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2)])
+        with pytest.raises(SpdError, match="precision record 2 is not positive definite"):
             batched_log_normalizer(eta, lams)

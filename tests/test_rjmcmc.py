@@ -439,8 +439,9 @@ class TestSerialization:
             assert np.array_equal(back.moments[ind].cov, mom.cov)
 
     def test_few_visits_per_model_still_read_back(self):
-        # 300 retained draws over 2^5 models: some models sit at a few
-        # distinct points, and their singular covariance is written as null
+        # 300 retained draws over 2^5 models: some models have fewer than
+        # dim+2 visits or sit at a few distinct points, and their summary is
+        # written as null
         data, models = make_synthetic("rj_mixture", seed=0)
         base = next(m for m in models if m.model_id == "full")
         plan = uniform_split(data.X.shape[0], 2, seed=0)
@@ -452,6 +453,7 @@ class TestSerialization:
             assert set(back.moments) == set(out.moments)
             for ind, mom in out.moments.items():
                 assert np.array_equal(back.moments[ind].cov, mom.cov)
+                assert out.visit_counts[ind] >= mom.dim + 2
             outputs.append(out)
         nulls = [
             ind for ind, count in outputs[0].visit_counts.items()
