@@ -12,7 +12,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from splitevidence import (
     RunConfig,
@@ -23,7 +22,7 @@ from splitevidence import (
     whole_shard,
 )
 from splitevidence.diagnostics import quadrature_subposterior_summary
-from splitevidence.models import Dataset, LogisticLikelihood, ModelSpec, NormalPrior
+from splitevidence.models import Dataset, LogisticLikelihood, ModelSpec, NormalPrior, expit
 
 
 def build_data(seed, n):

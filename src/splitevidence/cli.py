@@ -349,6 +349,13 @@ def _cmd_run(args) -> int:
     except TypeError as exc:
         raise ConfigurationError(f"bad config value: {exc}")
     out = settings["out"]
+    # every task is built, and so checked, before anything is written
+    tasks = {
+        model.model_id: cluster.make_tasks(
+            data, plan, model, config, stream_dir=os.path.join(out, model.model_id)
+        )
+        for model in models
+    }
     os.makedirs(out, exist_ok=True)
     write_plan(plan, os.path.join(out, "plan.json"))
 
@@ -363,7 +370,7 @@ def _cmd_run(args) -> int:
                 sys.stderr.write(
                     f"access model={model.model_id} shard={sid} rows={sizes[sid]}\n"
                 )
-        for result in cluster.run_cluster(data, plan, model, config, stream_dir=model_dir):
+        for result in cluster.run_tasks(tasks[model.model_id], config.parallelism):
             path = os.path.join(model_dir, f"result_{result.shard_id}.json")
             cluster.write_worker_result(result, path)
             results.append(result)
@@ -392,8 +399,8 @@ def _cmd_rjmcmc(args) -> int:
                 f"indicator {bits!r} does not cover {base.dim} features"
             )
         indicators.append(indicator)
-    os.makedirs(args.out, exist_ok=True)
     plan = _build_plan(data, args.splits, args.strategy, args.kmeans_k, args.seed)
+    os.makedirs(args.out, exist_ok=True)
     write_plan(plan, os.path.join(args.out, "plan.json"))
 
     outputs = []

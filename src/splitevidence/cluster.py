@@ -345,16 +345,21 @@ def run_cluster(
     """Fan out one task per shard, fan in; exactly one result per shard.
 
     Every worker runs under the same ``config``, with the task
-    ``shard_task`` builds for its shard.  Workers run in a thread pool (degree
-    ``config.parallelism``); results come back ordered by shard id
-    regardless of scheduling.  Any failure aborts the whole run with a
-    per-shard report.
+    ``shard_task`` builds for its shard.
     """
-    tasks = make_tasks(data, plan, model, config, stream_dir)
-    if config.parallelism == 1:
+    return run_tasks(make_tasks(data, plan, model, config, stream_dir), config.parallelism)
+
+
+def run_tasks(tasks: Sequence[WorkerTask], parallelism: int = 1) -> List[WorkerResult]:
+    """Run the tasks in a thread pool of ``parallelism`` threads.
+
+    Results come back ordered by shard id regardless of scheduling.  Any
+    failure aborts the whole run with a per-shard report.
+    """
+    if parallelism == 1:
         outcomes = [_attempt(task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
             outcomes = list(pool.map(_attempt, tasks))
     failures = [str(o) for o in outcomes if isinstance(o, WorkerError)]
     if failures:

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import expit, logsumexp
 
 from .errors import DomainError, QuadratureError
-from .gaussian import GaussianMoments, chol_spd, consensus_moments
+from .evidence import logsumexp
+from .gaussian import GaussianMoments, chol_solve, chol_spd, consensus_moments
 from .models import (
     Dataset,
     LinearKnownVar,
@@ -27,6 +26,7 @@ from .models import (
     NormalPrior,
     Shard,
     design,
+    expit,
 )
 from .samplers import SubposteriorDensity, laplace_fit
 
@@ -50,13 +50,13 @@ def conjugate_posterior_moments(
     prior_mean = np.asarray(prior_mean, dtype=float)
     prior_cov = np.asarray(prior_cov, dtype=float)
     low0 = chol_spd(prior_cov, what="prior covariance")
-    prior_prec = cho_solve((low0, True), np.eye(prior_cov.shape[0]))
+    prior_prec = chol_solve(low0, np.eye(prior_cov.shape[0]))
     prec = X.T @ X / noise_var + prior_prec
     prec = 0.5 * (prec + prec.T)
     low = chol_spd(prec, what="posterior precision")
     eta = X.T @ y / noise_var + prior_prec @ prior_mean
-    mean = cho_solve((low, True), eta)
-    cov = cho_solve((low, True), np.eye(prec.shape[0]))
+    mean = chol_solve(low, eta)
+    cov = chol_solve(low, np.eye(prec.shape[0]))
     return GaussianMoments(mean=mean, cov=0.5 * (cov + cov.T))
 
 
@@ -84,7 +84,7 @@ def exact_evidence_conjugate_gaussian(
     n = X.shape[0]
     low0 = chol_spd(prior_cov, what="prior covariance")
     logdet_v0 = 2.0 * float(np.sum(np.log(np.diag(low0))))
-    prior_prec = cho_solve((low0, True), np.eye(prior_cov.shape[0]))
+    prior_prec = chol_solve(low0, np.eye(prior_cov.shape[0]))
     prec = X.T @ X / noise_var + prior_prec
     prec = 0.5 * (prec + prec.T)
     low = chol_spd(prec, what="posterior precision")
@@ -92,7 +92,7 @@ def exact_evidence_conjugate_gaussian(
 
     r = y - X @ prior_mean
     b = X.T @ r / noise_var
-    half = solve_triangular(low, b, lower=True)
+    half = np.linalg.solve(low, b)
     quad = float(r @ r) / noise_var - float(half @ half)
     return (
         -0.5 * n * (LOG_2PI + math.log(noise_var))
@@ -165,7 +165,7 @@ def _refined_log_integral(log_f, lo, hi, rel_tol: float, what: str):
     prev = None
     for m in _REFINE_NODES:
         pts, logw = _tensor_grid(lo, hi, m)
-        val = float(logsumexp(log_f(pts) + logw))
+        val = logsumexp(log_f(pts) + logw)
         if prev is not None and abs(val - prev) <= rel_tol:
             return val, pts, logw
         prev = val

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CombinationError, DomainError, EstimatorError
 from .gaussian import (
@@ -77,6 +76,23 @@ class ModelComparison:
     log_prior_probs: np.ndarray
     log_bf_matrix: np.ndarray      # [i, j] = log BF of model i over model j
     posterior_probs: np.ndarray
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over a 1-D array, shifted by its largest entry.
+
+    That entry's term, exactly 1, is left out of the sum and added back
+    through log1p.  -inf entries add nothing, so all -inf gives -inf; a
+    +inf or NaN entry gives that value.
+    """
+    a = np.asarray(a, dtype=float)
+    top = int(np.argmax(a))
+    peak = float(a[top])
+    if not math.isfinite(peak):
+        return peak
+    terms = np.exp(a - peak)
+    terms[top] = 0.0
+    return peak + math.log1p(float(terms.sum()))
 
 
 def ess_warnings(ess: Optional[float]) -> Tuple[str, ...]:
@@ -226,7 +242,7 @@ def conditional_isub(streams: Sequence[ConditionalGaussianStream]) -> float:
     log_integrals = log_product_integrals(
         np.stack([s.eta for s in streams]), np.stack([s.precisions for s in streams])
     )
-    return float(logsumexp(log_integrals) - math.log(counts[0]))
+    return logsumexp(log_integrals) - math.log(counts[0])
 
 
 def approx_isub(moments: Sequence[GaussianMoments]) -> float:

@@ -8,8 +8,9 @@ for the log integral of a product of Gaussians, used for the approximate,
 the conditional and the reversible-jump I_sub alike.  Everything is routed
 through Cholesky factors; no matrix is ever inverted explicitly for a
 quadratic form.  ``chol_spd`` is the one check that a matrix, or each of a
-stack, is symmetric positive definite, and ``sample_moments`` the one mean
-and covariance of a set of draws.
+stack, is symmetric positive definite, ``chol_solve`` the one solve with
+its factor, and ``sample_moments`` the one mean and covariance of a set of
+draws.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DomainError, SpdError
 
@@ -68,6 +68,11 @@ def chol_spd(a: np.ndarray, what: str = "matrix", item: Optional[str] = None) ->
         raise
 
 
+def chol_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^-1 b from the lower Cholesky factor ``low`` of A: two triangular solves."""
+    return np.linalg.solve(low.T, np.linalg.solve(low, b))
+
+
 @dataclass(eq=False)
 class GaussianMoments:
     """Mean vector and covariance matrix of a p-dimensional Gaussian."""
@@ -102,8 +107,8 @@ def sample_moments(draws: np.ndarray) -> GaussianMoments:
 
 def _inverse_and_solve(low: np.ndarray, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(A^-1 symmetrized, A^-1 vec) from the lower Cholesky factor of A."""
-    inv = cho_solve((low, True), np.eye(low.shape[0]))
-    return 0.5 * (inv + inv.T), cho_solve((low, True), vec)
+    inv = chol_solve(low, np.eye(low.shape[0]))
+    return 0.5 * (inv + inv.T), chol_solve(low, vec)
 
 
 def natural_params(parts: Sequence[GaussianMoments]) -> Tuple[np.ndarray, np.ndarray]:

@@ -285,6 +285,16 @@ def softplus_sum(linpred: np.ndarray, axis: Optional[int] = None):
     return pos + mag.sum(axis=axis)
 
 
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise.
+
+    exp(-x) overflows to inf below x = -709, where the result is 0, the
+    correctly rounded value from x = -745 on; the overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
 def log_likelihood(model: ModelSpec, theta: np.ndarray, data: Union[Dataset, Shard]) -> float:
     coefs, logsigma = _split_theta(model, theta)
     Xa = design(model, data)

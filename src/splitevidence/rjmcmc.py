@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from . import wire
 from .errors import DecodeError, DomainError, SchemaVersionError, SpdError, UnexploredModelError
@@ -36,6 +35,16 @@ from .samplers import laplace_fit, subposterior_closure
 LOG_2PI = math.log(2.0 * math.pi)
 
 MAX_FEATURES = 25
+
+
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _log_choose(n: int) -> np.ndarray:
+    """log of the binomial coefficient C(n, k) for k = 0..n."""
+    lg = math.lgamma
+    return np.array([lg(n + 1) - lg(k + 1) - lg(n - k + 1) for k in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -91,20 +100,12 @@ class BetaBinomialPrior:
     def log_prob(self, size: int, n_features: int) -> float:
         if not 0 <= size <= n_features:
             raise DomainError(f"model size {size} outside 0..{n_features}")
-        return float(
-            betaln(self.a + size, self.b + n_features - size) - betaln(self.a, self.b)
-        )
+        return _log_beta(self.a + size, self.b + n_features - size) - _log_beta(self.a, self.b)
 
     def size_log_pmf(self, n_features: int) -> np.ndarray:
         """log pmf over model sizes 0..p (subset mass times binomial count)."""
-        sizes = np.arange(n_features + 1)
-        log_choose = (
-            gammaln(n_features + 1) - gammaln(sizes + 1) - gammaln(n_features - sizes + 1)
-        )
-        per_subset = np.array(
-            [self.log_prob(int(k), n_features) for k in sizes]
-        )
-        return log_choose + per_subset
+        per_subset = [self.log_prob(k, n_features) for k in range(n_features + 1)]
+        return _log_choose(n_features) + per_subset
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,7 @@ class UniformIndicatorPrior:
         return -n_features * math.log(2.0)
 
     def size_log_pmf(self, n_features: int) -> np.ndarray:
-        sizes = np.arange(n_features + 1)
-        log_choose = (
-            gammaln(n_features + 1) - gammaln(sizes + 1) - gammaln(n_features - sizes + 1)
-        )
-        return log_choose - n_features * math.log(2.0)
+        return _log_choose(n_features) - n_features * math.log(2.0)
 
 
 ModelPrior = BetaBinomialPrior | UniformIndicatorPrior
@@ -309,13 +306,13 @@ def rjmcmc_sample(
             # death: remove feature j, reverse move would rebirth it
             new_active = active[:pos] + active[pos + 1 :]
             removed = float(theta[pos])
-            new_theta = np.delete(theta, pos)
+            new_theta = np.concatenate((theta[:pos], theta[pos + 1 :]))
             log_hastings = logpdf(removed)
         else:
             # birth: insert feature j with a subprior-marginal draw
             new_active = active[:pos] + (j,) + active[pos:]
             born = draw(rng)
-            new_theta = np.insert(theta, pos, born)
+            new_theta = np.concatenate((theta[:pos], (born,), theta[pos:]))
             log_hastings = -logpdf(born)
         new_entry = cache.entry(new_active)
         cand = new_entry["target"](new_theta)

@@ -4,10 +4,10 @@
 times the fractionated prior p(theta)^(1/S) / alpha) is defined and tuned;
 ``models`` keeps only the slow reference the tests compare against.  It is
 built once per (model, shard, S) and serves the random-walk and
-reversible-jump target, the L-BFGS objective and Hessian of the Laplace
-fit, the prior block of PG-Gibbs, and the evidence estimators and
-quadrature oracles; its logistic likelihood runs through the
-``models.softplus_sum`` kernel.
+reversible-jump target, the objective, gradient and Hessian of the Newton
+iteration of the Laplace fit, the prior block of PG-Gibbs, and the
+evidence estimators and quadrature oracles; its logistic likelihood runs
+through the ``models.softplus_sum`` kernel.
 
 Two samplers produce subposterior draws.  A generic random-walk Metropolis
 chain works for every likelihood/prior pair; for logistic likelihoods with a
@@ -29,9 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg import block_diag, cho_solve, solve_triangular
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from . import wire
 from .errors import (
@@ -41,13 +38,14 @@ from .errors import (
     EstimatorError,
     SpdError,
 )
-from .gaussian import GaussianMoments, chol_spd, sample_moments
+from .gaussian import GaussianMoments, chol_solve, chol_spd, sample_moments
 from .models import (
     LogisticLikelihood,
     ModelSpec,
     NormalPrior,
     Shard,
     design,
+    expit,
     softplus_sum,
 )
 
@@ -232,7 +230,7 @@ class SubposteriorDensity:
     Calling it on one theta gives the log density, the random-walk and
     reversible-jump target; ``logpdf_batch`` evaluates a stack of thetas for
     the evidence estimators; ``neg_and_grad`` and ``neg_hessian`` give the
-    L-BFGS objective and its curvature.
+    Laplace fit its objective, gradient and curvature.
 
     The fractionated prior has at most two blocks: a Gaussian block on the
     trailing coordinates ``gauss`` (all of theta under a normal prior, log
@@ -267,13 +265,14 @@ class SubposteriorDensity:
         self.laplace_scale = None if normal else model.prior.scale * S
         if model.infers_scale:
             mean = np.append(mean, lik.logsigma_mean)
-            cov = block_diag(cov, lik.logsigma_sd**2)
+            cov = np.pad(cov, (0, 1))
+            cov[-1, -1] = lik.logsigma_sd**2
         k = mean.shape[0]
         d = model.theta_dim
         self.gauss = slice(d - k, d)
         self.prior_mean = mean
         L = chol_spd(cov, what="prior covariance")
-        l_inv = solve_triangular(L, np.eye(k), lower=True)
+        l_inv = np.linalg.solve(L, np.eye(k))
         prec = l_inv.T @ l_inv / S
         self.prior_prec = 0.5 * (prec + prec.T)
         # whitening factor S^-1/2 L^-1, so the Gaussian block costs one mat-vec
@@ -336,7 +335,12 @@ class SubposteriorDensity:
         return out
 
     def neg_and_grad(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Minus the log density up to a constant, and its gradient."""
+        """Minus the log density up to a constant, and its gradient.
+
+        At a coefficient of exactly 0 under a Laplace prior the gradient
+        entry is the subgradient of least magnitude, 0 when zero is optimal
+        in that coordinate.
+        """
         theta = np.asarray(theta, dtype=float)
         nc = self.n_coef
         grad = np.empty_like(theta)
@@ -359,6 +363,10 @@ class SubposteriorDensity:
             coef = theta[:nc]
             val += float(np.abs(coef).sum()) / self.laplace_scale
             grad[:nc] += np.sign(coef) / self.laplace_scale
+            kink = np.flatnonzero(coef == 0.0)
+            slope = grad[kink]
+            shrunk = np.maximum(np.abs(slope) - 1.0 / self.laplace_scale, 0.0)
+            grad[kink] = np.sign(slope) * shrunk
         return val, grad
 
     def neg_hessian(self, theta: np.ndarray) -> np.ndarray:
@@ -577,21 +585,106 @@ def read_stream(path) -> ConditionalGaussianStream:
 # ---------------------------------------------------------------------------
 # Laplace fit of a subposterior (MAP + inverse curvature).
 
+_NEWTON_MAX_ITER = 100  # steps before a fit that has not converged raises
+_NEWTON_MAX_STEP = 5.0  # cap on the largest coordinate change of one step
+_NEWTON_TOL = 1e-10  # on the scaled gradient, and on a step relative to 1 + |theta|
+_ARMIJO = 1e-4  # share of the predicted decrease a step must achieve
+_ROUNDING = 1e-12  # relative rounding of the objective a step may add
+
+
 def laplace_fit(
     model: ModelSpec, shard: Shard, n_splits: int, init: Optional[np.ndarray] = None
 ) -> GaussianMoments:
-    """Subposterior MAP and inverse curvature as Gaussian moments."""
+    """Subposterior MAP and inverse curvature as Gaussian moments.
+
+    Damped Newton on ``neg_and_grad`` and ``neg_hessian``, the Hessian that
+    also gives the covariance.  Each step is capped at ``_NEWTON_MAX_STEP``
+    per coordinate and halved until the objective falls by ``_ARMIJO`` of
+    the predicted decrease; a trial point where the objective overflows or
+    is not finite counts as a rejected step.  The fit stops when the scaled
+    gradient sqrt(g' H^-1 g) is at most ``_NEWTON_TOL`` or a step moves no
+    coordinate by more than ``_NEWTON_TOL (1 + |theta|)``, and raises
+    EstimatorError after ``_NEWTON_MAX_ITER`` steps.  Under a Laplace prior
+    a coefficient stops at 0 rather than cross it, and stays there while 0
+    is optimal in that coordinate.  By default the fit starts at the prior
+    mean, with log sigma of a linear likelihood at the residual scale there.
+    """
     density = SubposteriorDensity(model, shard, n_splits)
+    d = model.theta_dim
     if init is None:
-        init = np.zeros(model.theta_dim)
-        init[density.gauss] = density.prior_mean
-    res = minimize(
-        density.neg_and_grad, np.asarray(init, dtype=float), jac=True, method="L-BFGS-B"
-    )
-    if not np.all(np.isfinite(res.x)):
-        raise EstimatorError("Laplace fit did not converge to a finite point")
-    hess = density.neg_hessian(res.x)
-    low = chol_spd(hess + 1e-10 * np.eye(model.theta_dim), what="curvature")
-    cov = cho_solve((low, True), np.eye(model.theta_dim))
-    cov = 0.5 * (cov + cov.T)
-    return GaussianMoments(mean=res.x, cov=cov)
+        x = np.zeros(d)
+        x[density.gauss] = density.prior_mean
+        if not density.logistic and density.fixed_scale is None:
+            x[-1] = 0.5 * math.log(max(density._rss(x[:-1]) / density.n, 1e-12))
+    else:
+        x = np.array(init, dtype=float)
+    try:
+        f, g = density.neg_and_grad(x)
+    except OverflowError:
+        f = math.inf
+    if not (math.isfinite(f) and np.isfinite(g).all()):
+        raise EstimatorError("the Laplace fit's start point has no finite density")
+    eye = np.eye(d)
+    for _ in range(_NEWTON_MAX_ITER):
+        hess = density.neg_hessian(x) + 1e-10 * eye
+        free = np.flatnonzero((x != 0.0) | (g != 0.0))  # the rest sit at a kink
+        step = np.zeros(d)
+        step[free], scaled = _newton_step(hess[np.ix_(free, free)], g[free])
+        if scaled <= _NEWTON_TOL:
+            break
+        x, f, g, moved = _line_search(density, x, f, g, step)
+        if moved <= _NEWTON_TOL * (1.0 + float(np.abs(x).max())):
+            hess = density.neg_hessian(x) + 1e-10 * eye
+            break
+    else:
+        raise EstimatorError(f"Laplace fit did not converge in {_NEWTON_MAX_ITER} Newton steps")
+    cov = chol_solve(chol_spd(hess, what="curvature"), eye)
+    return GaussianMoments(mean=x, cov=0.5 * (cov + cov.T))
+
+
+def _newton_step(hess: np.ndarray, grad: np.ndarray) -> Tuple[np.ndarray, float]:
+    """-H^-1 g and the scaled gradient sqrt(g' H^-1 g).
+
+    Where H is not positive definite the step is -|H|^-1 g through its
+    eigenvalues and the scaled gradient is inf.
+    """
+    try:
+        low = chol_spd(hess, what="curvature")
+    except SpdError as exc:
+        if exc.min_eigenvalue is None:  # not finite: no direction to step along
+            raise EstimatorError(f"Laplace fit: {exc}") from None
+        vals, vecs = np.linalg.eigh(hess)
+        vals = np.maximum(np.abs(vals), 1e-10 * np.abs(vals).max())
+        return -vecs @ ((vecs.T @ grad) / vals), math.inf
+    half = np.linalg.solve(low, grad)
+    return -np.linalg.solve(low.T, half), math.sqrt(float(half @ half))
+
+
+def _line_search(density: SubposteriorDensity, x, f, g, step):
+    """Backtracking Armijo search from ``x`` along ``step``, capped.
+
+    Under a Laplace prior a coefficient that would change sign stops at 0.
+    Returns the accepted point, its objective and gradient, and the largest
+    coordinate change.
+    """
+    big = float(np.abs(step).max())
+    t = 1.0 if big <= _NEWTON_MAX_STEP else _NEWTON_MAX_STEP / big
+    bound = f + _ROUNDING * abs(f)
+    nc = density.n_coef if density.laplace_scale is not None else 0
+    for _ in range(100):
+        trial = x + t * step
+        coef = trial[:nc]
+        coef[coef * x[:nc] < 0.0] = 0.0
+        try:
+            ft, gt = density.neg_and_grad(trial)
+        except OverflowError:
+            ft = math.inf
+        move = trial - x
+        if (
+            math.isfinite(ft)
+            and ft <= bound + _ARMIJO * float(g @ move)
+            and np.isfinite(gt).all()
+        ):
+            return trial, ft, gt, float(np.abs(move).max())
+        t *= 0.5
+    raise EstimatorError("the Laplace fit's line search found no finite decrease")

@@ -1151,6 +1151,36 @@ class TestErrorReporting:
         assert message in error["message"]
         assert not out.exists()  # checked before any shard is sampled
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("run", ["--model", "MODEL", "--mode", "approx", "--samples", "3",
+                     "--burn-in", "1"]),
+            ("run", ["--model", "MODEL", "--mode", "conditional", "--model", "LINEAR"]),
+            ("rjmcmc", ["--model", "MODEL", "--splits", "0"]),
+        ],
+        ids=["run-chain-too-short", "run-second-model", "rjmcmc-splits"],
+    )
+    def test_rejected_command_writes_nothing(
+        self, logistic_fixture, tmp_path, capsys, command, flags
+    ):
+        linear = ModelSpec(
+            model_id="lin",
+            likelihood=LinearKnownVar(noise_var=1.0),
+            prior=NormalPrior(mean=np.zeros(2), cov=np.eye(2)),
+            dim=2,
+        )
+        (tmp_path / "linear.json").write_text(model_spec_to_json(linear))
+        paths = {"MODEL": logistic_fixture["model"], "LINEAR": str(tmp_path / "linear.json")}
+        out = tmp_path / "out"
+        code = cli.main(
+            [command, "--data", logistic_fixture["data"],
+             *(paths.get(flag, flag) for flag in flags), "--out", str(out)]
+        )
+        assert code == 1
+        assert _read_error(capsys)["code"] == "E_INPUT"
+        assert not out.exists()  # every task is checked before anything is written
+
     @pytest.mark.parametrize("name, edit", MALFORMED_DOCUMENTS)
     def test_malformed_document_rejected(self, exchange, tmp_path, capsys, name, edit):
         work = tmp_path / "exchange"
@@ -1219,3 +1249,48 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert json.loads(proc.stderr.strip())["error"]["code"] == "E_INPUT"
+
+    def test_runs_without_scipy(self, tmp_path):
+        """The package imports and every subcommand runs with scipy unimportable."""
+        script = r"""
+import sys
+sys.modules["scipy"] = None  # from here on, any scipy import fails
+import splitevidence, splitevidence.cli
+loaded = sorted(n for n, m in sys.modules.items() if n.startswith("scipy") and m is not None)
+assert not loaded, loaded
+from splitevidence.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+chain = ["--samples", "300", "--burn-in", "100"]
+for scenario in ("logistic_basic", "rj_mixture"):
+    run("synth", "--scenario", scenario, "--seed", "0", "--out", scenario)
+model = "logistic_basic/model_m1.json"
+data = "logistic_basic/data.csv"
+for mode in ("approx", "conditional"):
+    run("run", "--data", data, "--model", model, "--mode", mode, "--splits", "2",
+        *chain, "--evidence-samples", "200", "--out", "run_" + mode)
+run("shard", "--data", data, "--splits", "2", "--out", "plan.json")
+for s in ("0", "1"):
+    run("worker", "--data", data, "--model", model, "--plan", "plan.json", "--shard-id", s,
+        "--mode", "conditional", *chain, "--stream-out", "cond_" + s + ".ndjson",
+        "--out", "result_" + s + ".json")
+run("combine", "--model", model, "--results", "result_0.json", "result_1.json",
+    "--out", "evidence.json")
+run("rjmcmc", "--data", "rj_mixture/data.csv", "--model", "rj_mixture/model_full.json",
+    "--splits", "2", "--samples", "1000", "--burn-in", "200", "--min-visits", "10",
+    "--indicator", "11111", "--indicator", "11101", "--out", "rj")
+run("diagnose", "--scenario", "logistic_basic", "--splits", "2", *chain,
+    "--evidence-samples", "200", "--out", "diagnose.csv")
+print(sorted(n for n, m in sys.modules.items() if n.startswith("scipy") and m is not None))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        assert json.loads((tmp_path / "evidence.json").read_text())

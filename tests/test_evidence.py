@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from splitevidence import (
     CombinationError,
@@ -36,6 +37,7 @@ from splitevidence import (
     whole_shard,
 )
 from splitevidence.diagnostics import quadrature_subposterior_summary
+from splitevidence.evidence import logsumexp
 
 
 def _conjugate_problem(seed=0, n=200, p=2):
@@ -70,6 +72,33 @@ def _logistic_problem(seed=7, n=240):
 def _round_robin(data, n_splits):
     rows = np.arange(data.X.shape[0])
     return [Shard(data, rows[s::n_splits], shard_id=s) for s in range(n_splits)]
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0],
+            [-1e300, 0.0, 1e-20],
+            [-np.inf, 2.0, -np.inf, 2.0],
+            [-np.inf, -np.inf],
+            [800.0, 799.0, -np.inf, 1.0],
+            list(np.linspace(-745.0, 3.0, 50)),
+            list(np.random.default_rng(3).normal(scale=50.0, size=2000)),
+        ],
+        ids=["one", "tiny", "neg-inf", "all-neg-inf", "large", "range", "random"],
+    )
+    def test_matches_scipy(self, values):
+        got = logsumexp(np.array(values))
+        want = special.logsumexp(values)
+        if np.isneginf(want):
+            assert np.isneginf(got)
+        else:
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    def test_non_finite_peak_propagates(self):
+        assert logsumexp([1.0, np.inf]) == np.inf
+        assert np.isnan(logsumexp([1.0, np.nan]))
 
 
 class TestImportance:

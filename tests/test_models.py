@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from splitevidence import (
     ConfigurationError,
@@ -35,7 +35,7 @@ from splitevidence import (
     whole_shard,
 )
 from splitevidence import samplers as samplers_module
-from splitevidence.models import check_compatible, softplus_sum
+from splitevidence.models import check_compatible, expit, softplus_sum
 from splitevidence.samplers import SubposteriorDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -296,6 +296,17 @@ class TestLikelihoods:
             log_likelihood(sub, theta, data), log_likelihood(full, theta, direct), rtol=1e-14
         )
         assert sub.theta_dim == 2
+
+
+class TestExpit:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate([TestSoftplusSum.EDGES, 40.0 * rng.normal(size=1000)])
+        with np.errstate(over="raise"):  # the overflow of exp(-x) stays inside expit
+            got = expit(x)
+        np.testing.assert_allclose(got, special.expit(x), rtol=1e-15, atol=0.0)
+        assert expit(750.0) == 1.0 and expit(-750.0) == 0.0
+        assert special.expit(750.0) == 1.0 and special.expit(-750.0) == 0.0
 
 
 class TestSoftplusSum:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
-from scipy.stats import chisquare
+from scipy.stats import betabinom, binom, chisquare
 
 from splitevidence.diagnostics import exact_local_evidence, exact_local_moments, make_synthetic
 from splitevidence.errors import DecodeError, DomainError, UnexploredModelError
@@ -119,6 +119,15 @@ class TestBetaBinomialPrior:
         assert logsumexp(prior.size_log_pmf(p)) == pytest.approx(0.0, abs=1e-10)
 
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.3, 2.5), (7.0, 0.6), (40.0, 55.0)])
+    @pytest.mark.parametrize("p", [1, 5, 25])
+    def test_size_pmf_matches_scipy(self, a, b, p):
+        got = BetaBinomialPrior(a=a, b=b).size_log_pmf(p)
+        np.testing.assert_allclose(
+            got, betabinom(p, a, b).logpmf(np.arange(p + 1)), rtol=1e-13, atol=1e-12
+        )
+
+
 class TestUniformIndicatorPrior:
     def test_constant_subset_mass(self):
         prior = UniformIndicatorPrior()
@@ -135,6 +144,7 @@ class TestUniformIndicatorPrior:
         sizes = np.arange(p + 1)
         expected = np.array([math.comb(p, int(k)) for k in sizes]) * 0.5**p
         np.testing.assert_allclose(pmf, expected, rtol=1e-12)
+        np.testing.assert_allclose(pmf, binom(p, 0.5).pmf(sizes), rtol=1e-12)
 
 
 class TestSubmodel:

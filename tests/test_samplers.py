@@ -1,9 +1,10 @@
 """Tests for Polya-Gamma sampling, RWMH, PG-Gibbs and Laplace fits."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from oracle_utils import sample_pg_truncated, sample_pg_truncated_vec
 from splitevidence import (
@@ -22,7 +23,9 @@ from splitevidence import (
     whole_shard,
 )
 from splitevidence import samplers as samplers_module
+from splitevidence.diagnostics import SCENARIOS, make_synthetic
 from splitevidence.models import Shard
+from splitevidence.sharding import uniform_split
 from splitevidence.samplers import (
     Chain,
     ConditionalGaussianStream,
@@ -454,7 +457,7 @@ LIKELIHOODS = [
 
 
 def objective_problem(lik, prior_kind, rng, active=None):
-    """Model and shard for checks of the L-BFGS objective and its Hessian."""
+    """Model and shard for checks of the Newton objective and its Hessian."""
     n, p = 80, 3
     X = rng.normal(size=(n, p))
     if isinstance(lik, LogisticLikelihood):
@@ -580,3 +583,97 @@ class TestLaplaceFit:
         np.testing.assert_allclose(fit.mean[:2], [1.0, -1.0], atol=0.1)
         np.testing.assert_allclose(fit.mean[2], math.log(0.5), atol=0.1)
         assert fit.cov.shape == (3, 3)
+
+    @staticmethod
+    def scaled_gradient(density, theta):
+        """sqrt(g' H^-1 g) at theta, the gradient in units of the curvature."""
+        grad = density.neg_and_grad(theta)[1]
+        return math.sqrt(grad @ np.linalg.solve(density.neg_hessian(theta), grad))
+
+    @staticmethod
+    def scipy_mode(density, start):
+        res = optimize.minimize(
+            density.neg_and_grad, start, jac=True, method="BFGS", options={"gtol": 1e-10}
+        )
+        return res.x
+
+    @pytest.mark.parametrize("n_splits", [1, 16])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_scaled_gradient_vanishes_at_every_scenario_mode(self, scenario, n_splits):
+        data, models = make_synthetic(scenario, seed=0)
+        shards = uniform_split(data.X.shape[0], n_splits, seed=0).shards(data)
+        for model in models:
+            for shard in shards:
+                fit = laplace_fit(model, shard, n_splits)
+                density = SubposteriorDensity(model, shard, n_splits)
+                assert self.scaled_gradient(density, fit.mean) <= 1e-8
+                np.testing.assert_allclose(
+                    fit.cov @ density.neg_hessian(fit.mean), np.eye(model.theta_dim), atol=1e-6
+                )
+
+    @pytest.mark.parametrize("n_splits", [1, 16])
+    def test_logistic_laplace_prior_matches_scipy(self, n_splits):
+        data, models = make_synthetic("logistic_basic", seed=0)
+        model = replace(models[0], prior=LaplacePrior(scale=1.0))
+        shard = uniform_split(data.X.shape[0], n_splits, seed=0).shards(data)[0]
+        fit = laplace_fit(model, shard, n_splits)
+        density = SubposteriorDensity(model, shard, n_splits)
+        assert self.scaled_gradient(density, fit.mean) <= 1e-8
+        mode = self.scipy_mode(density, np.zeros(model.theta_dim))
+        sd = np.sqrt(np.diag(fit.cov))
+        np.testing.assert_array_less(np.abs(fit.mean - mode) / sd, 1e-6)
+
+    def test_laplace_prior_mode_at_zero(self):
+        # a feature without signal and a strong prior: two coefficients sit
+        # at the kink of |theta|, where the fit stops them exactly
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(200, 4))
+        y = (rng.random(200) < 1.0 / (1.0 + np.exp(-(X @ [1.0, -1.0, 0.0, 0.02])))).astype(float)
+        model = ModelSpec(
+            model_id="lap", likelihood=LogisticLikelihood(), prior=LaplacePrior(scale=0.05), dim=4
+        )
+        shard = whole_shard(Dataset(X=X, y=y))
+        fit = laplace_fit(model, shard, 4)
+        np.testing.assert_array_equal(fit.mean[2:], 0.0)
+        density = SubposteriorDensity(model, shard, 4)
+        value, grad = density.neg_and_grad(fit.mean)
+        assert np.abs(grad).max() <= 1e-8
+        for direction in np.eye(4)[2:]:  # leaving zero costs more than it gains
+            for h in (1e-4, -1e-4):
+                assert density.neg_and_grad(fit.mean + h * direction)[0] > value
+
+    @pytest.mark.parametrize(
+        "log_sigma, coef_scale", [(40.0, 30.0), (300.0, 0.0), (-20.0, 1.0)]
+    )
+    def test_lognormal_var_from_a_far_start(self, log_sigma, coef_scale):
+        # an undamped Newton step from a huge sigma lands where exp(-2 log
+        # sigma) overflows; the capped, backtracked steps reach the mode
+        data, models = make_synthetic("toy_gaussian", seed=0)
+        model = models[-1]
+        shard = uniform_split(data.X.shape[0], 16, seed=0).shards(data)[3]
+        density = SubposteriorDensity(model, shard, 16)
+        init = np.append(coef_scale * (-1.0) ** np.arange(model.n_coef), log_sigma)
+        grad = density.neg_and_grad(init)[1]
+        step = np.linalg.solve(density.neg_hessian(init), grad)
+        if log_sigma > 0:
+            with pytest.raises(OverflowError):
+                density.neg_and_grad(init - step)
+        fit = laplace_fit(model, shard, 16, init=init)
+        assert self.scaled_gradient(density, fit.mean) <= 1e-8
+        mode = self.scipy_mode(density, laplace_fit(model, shard, 16).mean)
+        np.testing.assert_allclose(fit.mean, mode, atol=1e-7)
+
+    def test_start_without_finite_density_raises(self):
+        data, models = make_synthetic("toy_gaussian", seed=0)
+        shard = uniform_split(data.X.shape[0], 16, seed=0).shards(data)[0]
+        init = np.append(np.zeros(models[-1].n_coef), -400.0)  # exp(800) overflows
+        with pytest.raises(EstimatorError, match="start point"):
+            laplace_fit(models[-1], shard, 16, init=init)
+
+    def test_fit_that_cannot_converge_raises(self, monkeypatch):
+        data, models = make_synthetic("toy_gaussian", seed=0)
+        shard = uniform_split(data.X.shape[0], 16, seed=0).shards(data)[0]
+        monkeypatch.setattr(samplers_module, "_NEWTON_MAX_ITER", 3)
+        init = np.append(np.zeros(models[-1].n_coef), 300.0)
+        with pytest.raises(EstimatorError, match="did not converge in 3 Newton steps"):
+            laplace_fit(models[-1], shard, 16, init=init)
