@@ -1,13 +1,16 @@
-"""Shard density and random-walk Metropolis cost: per call, per cell, per iteration.
+"""Shard density, random-walk Metropolis and reversible-jump cost: per call, per cell, per iteration.
 
 Builds the ``SubposteriorDensity`` of shard 0 of the ``logistic_basic``
 scenario split 16 ways (625 rows, 5 coefficients), the shard size an
-approx-mode worker sees at S=16, and times three things. Each line gives
-the median and the min-max spread over ``--repeats`` repeats; BLAS runs on
-one thread.
+approx-mode worker sees at S=16, and of shard 0 of the ``rj_mixture``
+scenario split 3 ways (1334 rows, 5 coefficients), the shard size of a
+reversible-jump run at S=3, and times four things. Each line gives the
+median and the min-max spread over ``--repeats`` repeats; BLAS runs on one
+thread.
 
-* ``call``: one scalar ``density(theta)`` at the Laplace mean, in us. This
-  is the random-walk target.
+* ``call_<rows>``: one scalar ``density(theta)`` at the Laplace mean, in
+  us, on each of the two shards. This is the random-walk and
+  reversible-jump target.
 * ``block``: ``logpdf_batch`` on ``--draws`` thetas from the Laplace fit, in
   ns per cell (rows x draws), for each cap ``samplers._BLOCK_CELLS`` on the
   cells of one likelihood block in ``--caps``. This is the importance-sampling
@@ -16,6 +19,11 @@ one thread.
   started at the Laplace fit), in us, split into the target and the kernel,
   which is everything else: proposal, accept test, adaptation, bookkeeping
   and the timing wrapper's own call.
+* ``rj``: one iteration of ``rjmcmc_sample`` on the 1334-row shard (6000
+  iterations, 1000 burn-in, from the full model), in us, split into the
+  target calls and the kernel, which is everything else but the Laplace
+  fits of newly visited models: proposals, jump moves, building each new
+  model's density, bookkeeping and the timing wrapper's own calls.
 
     PYTHONPATH=src python scripts/bench_density.py [--repeats 5] [--caps 2000000 65536]
 """
@@ -31,7 +39,7 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from splitevidence import make_synthetic, uniform_split  # noqa: E402
-from splitevidence import samplers  # noqa: E402
+from splitevidence import rjmcmc, samplers  # noqa: E402
 
 CAPS = [2_000_000, 262_144, 131_072, 65_536, 32_768, 16_384]
 
@@ -77,6 +85,40 @@ def rwmh_split(density, fit, seed, n_iter=1000, burn_in=250):
     return 1e6 * total / n_iter, 1e6 * in_target / n_iter
 
 
+def rj_split(base, shard, n_splits, seed, n_iter=6000, burn_in=1000):
+    """(us per iteration, of which the target) for one run, Laplace fits left out."""
+    in_target = in_fit = 0.0
+
+    def closure(model, shard, n_splits):
+        density = samplers.subposterior_closure(model, shard, n_splits)
+
+        def target(theta):
+            nonlocal in_target
+            start = time.perf_counter()
+            value = density(theta)
+            in_target += time.perf_counter() - start
+            return value
+
+        return target
+
+    def fit(*args, **kwargs):
+        nonlocal in_fit
+        start = time.perf_counter()
+        moments = samplers.laplace_fit(*args, **kwargs)
+        in_fit += time.perf_counter() - start
+        return moments
+
+    saved = rjmcmc.subposterior_closure, rjmcmc.laplace_fit
+    rjmcmc.subposterior_closure, rjmcmc.laplace_fit = closure, fit
+    try:
+        start = time.perf_counter()
+        rjmcmc.rjmcmc_sample(base, shard, n_splits, n_iter, burn_in, seed=seed)
+        total = time.perf_counter() - start
+    finally:
+        rjmcmc.subposterior_closure, rjmcmc.laplace_fit = saved
+    return 1e6 * (total - in_fit) / n_iter, 1e6 * in_target / n_iter
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -93,10 +135,16 @@ def main():
     thetas = np.random.default_rng(0).multivariate_normal(fit.mean, 1.5 * fit.cov, args.draws)
     density.logpdf_batch(thetas)  # warm-up
     rwmh_split(density, fit, seed=0)
+    rj_data, rj_models = make_synthetic("rj_mixture", seed=0)
+    rj_shard = uniform_split(rj_data.X.shape[0], 3, seed=0).shard(rj_data, 0)
+    rj_density = samplers.SubposteriorDensity(rj_models[0], rj_shard, 3)
+    rj_mean = samplers.laplace_fit(rj_models[0], rj_shard, 3).mean
 
-    print(f"# shard {density.n} x {model.theta_dim}, {args.repeats} repeats")
+    print(f"# shards {density.n} x {model.theta_dim} and {rj_density.n} x 5, "
+          f"{args.repeats} repeats")
     print("name,median,min,max,unit")
-    row("call", [us_per_call(density, fit.mean, 20_000) for _ in range(args.repeats)], "us")
+    for dens, mean in ((density, fit.mean), (rj_density, rj_mean)):
+        row(f"call_{dens.n}", [us_per_call(dens, mean, 20_000) for _ in range(args.repeats)], "us")
     for cap in args.caps:
         runs = [ns_per_cell(density, thetas, cap, 20) for _ in range(args.repeats)]
         row(f"block_{cap}", runs, "ns_per_cell")
@@ -104,6 +152,10 @@ def main():
     row("rwmh_iter", [total for total, _ in splits], "us")
     row("rwmh_target", [target for _, target in splits], "us")
     row("rwmh_kernel", [total - target for total, target in splits], "us")
+    splits = [rj_split(rj_models[0], rj_shard, 3, seed=r) for r in range(args.repeats)]
+    row("rj_iter", [total for total, _ in splits], "us")
+    row("rj_target", [target for _, target in splits], "us")
+    row("rj_kernel", [total - target for total, target in splits], "us")
 
 
 if __name__ == "__main__":

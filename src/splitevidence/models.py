@@ -272,17 +272,19 @@ def softplus_sum(linpred: np.ndarray, axis: Optional[int] = None):
     NaN) it is sum max(x, 0) + sum log1p(exp(-|x|)), with exp and log1p run in
     place on the |x| buffer.  The positive parts are summed as they are: the
     form (sum x + sum |x|) / 2 would cancel them next to a huge negative x.
+    The reductions are the ufuncs' own, without the array methods' wrappers,
+    because the scalar density calls this once per random-walk step.
     """
     linpred = np.asarray(linpred, dtype=float)
-    if linpred.size and linpred.max() < 700.0:
+    if linpred.size and np.maximum.reduce(linpred, axis=None) < 700.0:
         out = np.exp(linpred)
-        return np.log1p(out, out=out).sum(axis=axis)
-    pos = np.maximum(linpred, 0.0).sum(axis=axis)
+        return np.add.reduce(np.log1p(out, out=out), axis=axis)
+    pos = np.add.reduce(np.maximum(linpred, 0.0), axis=axis)
     mag = np.abs(linpred)
     np.negative(mag, out=mag)
     np.exp(mag, out=mag)
     np.log1p(mag, out=mag)
-    return pos + mag.sum(axis=axis)
+    return pos + np.add.reduce(mag, axis=axis)
 
 
 def expit(x):

@@ -36,6 +36,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 MAX_FEATURES = 25
 
+# iterations whose random numbers the sampler draws in one block
+_DRAW_BLOCK = 1024
+
 
 def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
@@ -212,31 +215,39 @@ class _ModelCache:
 
 
 def _coef_marginal(base: ModelSpec, feature: int, n_splits: int):
-    """Subprior marginal of one coefficient: sampler and log density."""
+    """Subprior marginal of one coefficient: log density, and the map that
+    takes a standard variate of ``_standard_variates`` to a draw."""
     prior = base.prior
     if isinstance(prior, NormalPrior):
         mean = float(prior.mean[feature])
         var = n_splits * float(prior.cov[feature, feature])
         sd = math.sqrt(var)
 
-        def draw(rng):
-            return mean + sd * rng.standard_normal()
+        def born(z):
+            return mean + sd * z
 
         def logpdf(value):
             return -0.5 * (LOG_2PI + math.log(var) + (value - mean) ** 2 / var)
 
-        return draw, logpdf
+        return born, logpdf
     if isinstance(prior, LaplacePrior):
         scale = n_splits * prior.scale
 
-        def draw(rng):
-            return float(rng.laplace(0.0, scale))
+        def born(z):
+            return scale * z
 
         def logpdf(value):
             return -math.log(2.0 * scale) - abs(value) / scale
 
-        return draw, logpdf
+        return born, logpdf
     raise DomainError(f"unsupported prior kind {prior.kind!r}")
+
+
+def _standard_variates(base: ModelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """N(0, 1) draws under a normal prior, Laplace(0, 1) under a Laplace prior."""
+    if isinstance(base.prior, NormalPrior):
+        return rng.standard_normal(size)
+    return rng.laplace(size=size)
 
 
 def rjmcmc_sample(
@@ -254,7 +265,8 @@ def rjmcmc_sample(
     The chain starts in the full model.  Each iteration applies one
     within-model random-walk update (skipped for the empty model) and one
     birth/death jump that toggles a uniformly chosen feature, the entering
-    coefficient drawn from its subprior marginal.  Sojourn counts and
+    coefficient drawn from its subprior marginal.  The random numbers of
+    ``_DRAW_BLOCK`` iterations are drawn at once.  Sojourn counts and
     per-model draws accumulate after burn-in.  A model of dimension d keeps
     the moments of its draws only when it was visited at least
     max(``min_visits``, d + 2) times, the rule of ``chain_moments``, and its
@@ -271,9 +283,7 @@ def rjmcmc_sample(
     check_compatible(base, shard)
 
     cache = _ModelCache(base, shard, n_splits)
-    size_log_prior = np.array(
-        [model_prior.log_prob(k, p) for k in range(p + 1)]
-    )
+    size_log_prior = [model_prior.log_prob(k, p) for k in range(p + 1)]
     marginals = [_coef_marginal(base, j, n_splits) for j in range(p)]
 
     active = tuple(range(p))
@@ -287,52 +297,57 @@ def rjmcmc_sample(
     counts: Dict[Tuple[int, ...], int] = {}
     kept: Dict[Tuple[int, ...], List[np.ndarray]] = {}
 
-    for it in range(n_iter):
-        # within-model random-walk move
-        d = entry["d"]
-        if d > 0:
-            step = entry["prop_chol"] @ rng.standard_normal(d)
-            proposal = theta + step
-            cand = entry["target"](proposal)
-            if cand - log_target > math.log(rng.random()):
-                theta = proposal
+    for lo in range(0, n_iter, _DRAW_BLOCK):
+        size = min(_DRAW_BLOCK, n_iter - lo)
+        walks = rng.standard_normal((size, p))
+        log_us = np.log(rng.random((size, 2))).tolist()
+        toggles = rng.integers(p, size=size).tolist()
+        variates = _standard_variates(base, rng, size).tolist()
+        for it, z, (log_u_walk, log_u_jump), j, variate in zip(
+            range(lo, lo + size), walks, log_us, toggles, variates
+        ):
+            # within-model random-walk move
+            d = entry["d"]
+            if d > 0:
+                proposal = theta + entry["prop_chol"] @ z[:d]
+                cand = entry["target"](proposal)
+                if cand - log_target > log_u_walk:
+                    theta = proposal
+                    log_target = cand
+
+            # birth/death jump: toggle one uniformly chosen feature
+            pos = bisect_left(active, j)
+            born, logpdf = marginals[j]
+            if pos < len(active) and active[pos] == j:
+                # death: remove feature j, reverse move would rebirth it
+                new_active = active[:pos] + active[pos + 1 :]
+                new_theta = np.concatenate((theta[:pos], theta[pos + 1 :]))
+                log_hastings = logpdf(float(theta[pos]))
+            else:
+                # birth: insert feature j with a subprior-marginal draw
+                new_active = active[:pos] + (j,) + active[pos:]
+                value = born(variate)
+                new_theta = np.concatenate((theta[:pos], (value,), theta[pos:]))
+                log_hastings = -logpdf(value)
+            new_entry = cache.entry(new_active)
+            cand = new_entry["target"](new_theta)
+            log_accept = (
+                cand
+                - log_target
+                + size_log_prior[len(new_active)]
+                - size_log_prior[len(active)]
+                + log_hastings
+            )
+            if log_accept > log_u_jump:
+                active = new_active
+                entry = new_entry
+                theta = new_theta
                 log_target = cand
 
-        # birth/death jump: toggle one uniformly chosen feature
-        j = int(rng.integers(p))
-        pos = bisect_left(active, j)
-        draw, logpdf = marginals[j]
-        if pos < len(active) and active[pos] == j:
-            # death: remove feature j, reverse move would rebirth it
-            new_active = active[:pos] + active[pos + 1 :]
-            removed = float(theta[pos])
-            new_theta = np.concatenate((theta[:pos], theta[pos + 1 :]))
-            log_hastings = logpdf(removed)
-        else:
-            # birth: insert feature j with a subprior-marginal draw
-            new_active = active[:pos] + (j,) + active[pos:]
-            born = draw(rng)
-            new_theta = np.concatenate((theta[:pos], (born,), theta[pos:]))
-            log_hastings = -logpdf(born)
-        new_entry = cache.entry(new_active)
-        cand = new_entry["target"](new_theta)
-        log_accept = (
-            cand
-            - log_target
-            + size_log_prior[len(new_active)]
-            - size_log_prior[len(active)]
-            + log_hastings
-        )
-        if log_accept > math.log(rng.random()):
-            active = new_active
-            entry = new_entry
-            theta = new_theta
-            log_target = cand
-
-        if it >= burn_in:
-            counts[active] = counts.get(active, 0) + 1
-            if entry["d"] > 0:
-                kept.setdefault(active, []).append(theta)
+            if it >= burn_in:
+                counts[active] = counts.get(active, 0) + 1
+                if entry["d"] > 0:
+                    kept.setdefault(active, []).append(theta)
 
     retained = n_iter - burn_in
     visit_counts = {

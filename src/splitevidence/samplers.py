@@ -240,19 +240,27 @@ class SubposteriorDensity:
     their Gram matrices, so each evaluation costs O(theta_dim^2) whatever
     the shard size; a known noise variance is log sigma held fixed at
     log(noise_var) / 2.
+
+    A logistic likelihood is stacked with the Gaussian block into one
+    Fortran-order matrix A = [X; W; l'], W the whitening factor S^-1/2 L^-1
+    on the Gaussian columns and l = X'y + W'W m, so that
+    log density = (A theta)[-1] - softplus_sum(X theta) - |W theta|^2 / 2
+    + const (minus |coef|_1 / (b S) under a Laplace prior): one product
+    per theta, or per block of thetas.  ``X`` is the view A[:n].
     """
 
     def __init__(self, model: ModelSpec, shard: Shard, n_splits: int):
         S = n_splits
         lik = model.likelihood
         self.n_coef = model.n_coef
-        self.X = design(model, shard)
+        X = design(model, shard)
         self.y = shard.y
         self.n = self.y.shape[0]
         self.logistic = isinstance(lik, LogisticLikelihood)
         if not self.logistic:
-            self.gram = self.X.T @ self.X
-            self.xty = self.X.T @ self.y
+            self.X = X
+            self.gram = X.T @ X
+            self.xty = X.T @ self.y
             self.yty = float(self.y @ self.y)
             # log sigma and 1/sigma^2 when the noise variance is known
             self.fixed_scale = None
@@ -281,6 +289,35 @@ class SubposteriorDensity:
         self._prior_const = -0.5 * (k * LOG_2PI + k * math.log(S) + logdet)
         if self.laplace_scale is not None:
             self._prior_const -= self.n_coef * math.log(2.0 * self.laplace_scale)
+        if self.logistic:
+            n = self.n
+            white_mean = self._white @ mean
+            stacked = np.zeros((n + k + 1, d), order="F")
+            stacked[:n] = X
+            stacked[n:-1, self.gauss] = self._white
+            stacked[-1] = X.T @ self.y
+            stacked[-1, self.gauss] += self._white.T @ white_mean
+            self._stacked = stacked
+            self.X = stacked[:n]
+            self._logistic_const = self._prior_const - 0.5 * float(white_mean @ white_mean)
+
+    def _logistic_logpdf(self, thetas: np.ndarray, work: Optional[np.ndarray] = None):
+        """Logistic log density at theta (d,), or at each row of thetas (m, d).
+
+        ``work``, if given, receives the product A thetas'.
+        """
+        full = np.matmul(self._stacked, thetas.T, out=work)
+        n = self.n
+        half = full[n:-1]
+        out = (
+            full[-1]
+            - softplus_sum(full[:n], axis=0)
+            - 0.5 * np.add.reduce(half * half, axis=0)
+            + self._logistic_const
+        )
+        if self.laplace_scale is not None:
+            out -= np.add.reduce(np.abs(thetas), axis=-1) / self.laplace_scale
+        return out
 
     def _log_subprior(self, theta: np.ndarray) -> float:
         """Normalized fractionated prior, equal to models.log_subprior."""
@@ -303,8 +340,7 @@ class SubposteriorDensity:
 
     def __call__(self, theta: np.ndarray) -> float:
         if self.logistic:
-            linpred = self.X @ theta
-            return float(self.y @ linpred - softplus_sum(linpred)) + self._log_subprior(theta)
+            return float(self._logistic_logpdf(theta))
         coef, ls, w = self._scale(theta)
         loglik = -0.5 * self.n * LOG_2PI - self.n * ls - 0.5 * self._rss(coef) * w
         return loglik + self._log_subprior(theta)
@@ -313,21 +349,29 @@ class SubposteriorDensity:
         """The log density at each row of ``thetas``, shape (M, theta_dim) -> (M,)."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if self.logistic:
-            out = np.empty(thetas.shape[0])
+            m = thetas.shape[0]
+            out = np.empty(m)
             step = max(1, _BLOCK_CELLS // self.n)
-            for lo in range(0, thetas.shape[0], step):
-                linpred = self.X @ thetas[lo : lo + step].T
-                out[lo : lo + step] = self.y @ linpred - softplus_sum(linpred, axis=0)
+            # One product buffer serves every block.  A fresh one per block,
+            # next to softplus_sum's buffer of the same size, can send both
+            # back to the system allocator after each block, whose pages then
+            # fault in again: that doubled the cost per cell at 625 rows.
+            rows = self._stacked.shape[0]
+            work = np.empty(rows * min(step, m))
+            for lo in range(0, m, step):
+                block = thetas[lo : lo + step]
+                full = work[: rows * block.shape[0]].reshape(rows, -1)
+                out[lo : lo + step] = self._logistic_logpdf(block, full)
+            return out
+        coef = thetas[:, : self.n_coef]
+        quad = np.einsum("mi,ij,mj->m", coef, self.gram, coef)
+        rss = np.maximum(self.yty - 2.0 * coef @ self.xty + quad, 0.0)
+        if self.fixed_scale is None:
+            ls = thetas[:, -1]
+            w = np.exp(-2.0 * ls)
         else:
-            coef = thetas[:, : self.n_coef]
-            quad = np.einsum("mi,ij,mj->m", coef, self.gram, coef)
-            rss = np.maximum(self.yty - 2.0 * coef @ self.xty + quad, 0.0)
-            if self.fixed_scale is None:
-                ls = thetas[:, -1]
-                w = np.exp(-2.0 * ls)
-            else:
-                ls, w = self.fixed_scale
-            out = -0.5 * self.n * LOG_2PI - self.n * ls - 0.5 * rss * w
+            ls, w = self.fixed_scale
+        out = -0.5 * self.n * LOG_2PI - self.n * ls - 0.5 * rss * w
         half = (thetas[:, self.gauss] - self.prior_mean) @ self._white.T
         out += self._prior_const - 0.5 * np.einsum("mi,mi->m", half, half)
         if self.laplace_scale is not None:
@@ -352,7 +396,8 @@ class SubposteriorDensity:
             coef, ls, w = self._scale(theta)
             rss = self._rss(coef)
             val = self.n * ls + 0.5 * rss * w
-            grad[:nc] = -(self.xty - self.gram @ coef) * w
+            with np.errstate(over="ignore"):  # an infinite gradient rejects the point
+                grad[:nc] = -(self.xty - self.gram @ coef) * w
             if self.fixed_scale is None:
                 grad[-1] = self.n - rss * w
         diff = theta[self.gauss] - self.prior_mean
@@ -380,14 +425,15 @@ class SubposteriorDensity:
             hess[:nc, :nc] = self.X.T @ (self.X * w[:, None])
         else:
             coef, ls, w = self._scale(theta)
-            hess[:nc, :nc] = self.gram * w
-            if self.fixed_scale is None:
-                cross = 2.0 * (self.xty - self.gram @ coef) * w
-                hess[:nc, -1] = cross
-                hess[-1, :nc] = cross
-                hess[-1, -1] = 2.0 * self._rss(coef) * w
+            with np.errstate(over="ignore"):  # an infinite curvature fails the fit
+                hess[:nc, :nc] = self.gram * w
+                if self.fixed_scale is None:
+                    cross = 2.0 * (self.xty - self.gram @ coef) * w
+                    hess[:nc, -1] = cross
+                    hess[-1, :nc] = cross
+                    hess[-1, -1] = 2.0 * self._rss(coef) * w
         hess[self.gauss, self.gauss] += self.prior_prec
-        return 0.5 * (hess + hess.T)
+        return 0.5 * hess + 0.5 * hess.T  # halves first: the sum of two may overflow
 
 
 def subposterior_closure(model: ModelSpec, shard: Shard, n_splits: int) -> SubposteriorDensity:

@@ -13,8 +13,10 @@ from scipy.stats import betabinom, binom, chisquare
 from splitevidence.diagnostics import exact_local_evidence, exact_local_moments, make_synthetic
 from splitevidence.errors import DecodeError, DomainError, UnexploredModelError
 from splitevidence.gaussian import GaussianMoments
+from splitevidence import rjmcmc as rjmcmc_module
 from splitevidence.models import (
     Dataset,
+    LaplacePrior,
     LinearKnownVar,
     LogisticLikelihood,
     ModelSpec,
@@ -356,6 +358,34 @@ class TestUnexploredModels:
         b = ModelIndicator.from_bits("01")
         with pytest.raises(UnexploredModelError, match="shard 1"):
             distributed_log_bf([good, starved], a, b, base, 2)
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize(
+        "prior", [NormalPrior(mean=np.zeros(3), cov=np.eye(3)), LaplacePrior(scale=1.0)],
+        ids=["normal", "laplace"],
+    )
+    def test_blocks_split_the_chain_reproducibly(self, monkeypatch, prior):
+        # 30 iterations in blocks of 7: four full blocks and a partial one
+        monkeypatch.setattr(rjmcmc_module, "_DRAW_BLOCK", 7)
+        sizes = []
+        standard = rjmcmc_module._standard_variates
+
+        def spy(base, rng, size):
+            sizes.append(size)
+            return standard(base, rng, size)
+
+        monkeypatch.setattr(rjmcmc_module, "_standard_variates", spy)
+        rng = np.random.default_rng(5)
+        data = Dataset(X=rng.normal(size=(40, 3)), y=(rng.random(40) < 0.5).astype(float))
+        base = ModelSpec(model_id="b", likelihood=LogisticLikelihood(), prior=prior, dim=3)
+        runs = [
+            rjmcmc_sample(base, whole_shard(data), 2, n_iter=30, burn_in=5, seed=9, min_visits=2)
+            for _ in range(2)
+        ]
+        assert sizes == [7, 7, 7, 7, 2] * 2
+        assert rj_output_to_json(runs[0]) == rj_output_to_json(runs[1])
+        assert sum(runs[0].visit_counts.values()) == 25
 
 
 class TestSamplerValidation:

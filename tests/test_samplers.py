@@ -24,7 +24,7 @@ from splitevidence import (
 )
 from splitevidence import samplers as samplers_module
 from splitevidence.diagnostics import SCENARIOS, make_synthetic
-from splitevidence.models import Shard
+from splitevidence.models import Shard, design
 from splitevidence.sharding import uniform_split
 from splitevidence.samplers import (
     Chain,
@@ -449,6 +449,46 @@ class TestSubposteriorClosure:
                         )
 
 
+    @pytest.mark.parametrize("prior_kind", ["normal", "laplace"])
+    @pytest.mark.parametrize("active", [None, (0, 2), ()], ids=["all", "0-2", "none"])
+    @pytest.mark.parametrize("n_splits", [1, 16])
+    def test_logistic_scalar_and_batch_share_one_formula(
+        self, monkeypatch, prior_kind, active, n_splits
+    ):
+        rng = np.random.default_rng(13)
+        n, p = 40, 3
+        X = rng.normal(size=(n, p))
+        y = (rng.random(n) < 0.5).astype(float)
+        a = rng.normal(size=(p, p))
+        prior = (
+            NormalPrior(mean=rng.normal(size=p), cov=a @ a.T + 0.5 * np.eye(p))
+            if prior_kind == "normal"
+            else LaplacePrior(scale=0.9)
+        )
+        model = ModelSpec(
+            model_id="m", likelihood=LogisticLikelihood(), prior=prior, dim=p,
+            active_features=active,
+        )
+        shard = whole_shard(Dataset(X=X, y=y))
+        density = SubposteriorDensity(model, shard, n_splits)
+        assert np.array_equal(density.X, design(model, shard))
+
+        def unused(theta):
+            raise AssertionError("the logistic density has its own prior block")
+
+        monkeypatch.setattr(density, "_log_subprior", unused)
+        for coef_scale in (1.0, 300.0):  # 300: linear predictors beyond 709
+            theta = coef_scale * rng.normal(size=model.theta_dim)
+            value = density(theta)
+            assert isinstance(value, float)
+            np.testing.assert_allclose(
+                value, density.logpdf_batch(theta[None])[0], rtol=1e-12, atol=0.0
+            )
+            np.testing.assert_allclose(
+                value, log_subposterior_unnorm(model, theta, shard, n_splits), rtol=1e-9
+            )
+
+
 LIKELIHOODS = [
     pytest.param(LogisticLikelihood(), id="logistic"),
     pytest.param(LinearKnownVar(noise_var=1.7), id="known_var"),
@@ -662,6 +702,27 @@ class TestLaplaceFit:
         assert self.scaled_gradient(density, fit.mean) <= 1e-8
         mode = self.scipy_mode(density, laplace_fit(model, shard, 16).mean)
         np.testing.assert_allclose(fit.mean, mode, atol=1e-7)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "init, message",
+        [([1.0, -1.0, -352.0], "curvature is not finite"), ([0.0, 0.0, -353.0], "start point")],
+    )
+    def test_overflow_at_a_tiny_sigma_raises_without_warning(self, init, message):
+        # exp(-2 log sigma) is finite, but the curvature (or the gradient)
+        # it scales overflows: an EstimatorError, and no RuntimeWarning
+        rng = np.random.default_rng(22)
+        n, p = 200, 2
+        X = rng.normal(size=(n, p))
+        y = X @ np.array([1.0, -1.0]) + rng.normal(size=n)
+        model = ModelSpec(
+            model_id="lognormal",
+            likelihood=LinearLogNormalVar(logsigma_mean=0.0, logsigma_sd=1.0),
+            prior=NormalPrior(mean=np.zeros(p), cov=np.eye(p)),
+            dim=p,
+        )
+        with pytest.raises(EstimatorError, match=message):
+            laplace_fit(model, whole_shard(Dataset(X=X, y=y)), 1, init=init)
 
     def test_start_without_finite_density_raises(self):
         data, models = make_synthetic("toy_gaussian", seed=0)
