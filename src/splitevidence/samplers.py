@@ -19,8 +19,10 @@ precision matrix, which is all the downstream estimators need.
 PG(1, c) variates are drawn exactly with Devroye's alternating-series
 rejection sampler (a two-tail proposal accepted through partial sums of the
 Jacobi series).  ``sample_pg_vec`` draws a block of i.i.d. proposals per
-entry in one vectorised pass and keeps the first accepted one; the few
-entries left without one get another pass.
+entry in one vectorised pass and keeps the first accepted one; the entries
+left without one get further, narrow passes.  Each proposal's scaled
+uniform is compared with fixed bounds on the partial sums (a squeeze), so
+only the few proposals between the bounds compute the series term.
 """
 from __future__ import annotations
 
@@ -74,11 +76,16 @@ _SMALL_W = (4.0 / math.pi) / _TAIL_RATE * math.sqrt(2.0 / math.pi) * math.exp(
 )
 _BIG_W = 4.0 / math.pi
 # a_n / a_0 = (2n + 1) q^(n(n+1)/2) with q = exp(-4/x) on the left and
-# exp(-pi^2 x) on the right, so q <= exp(-4/_TRUNC) and the partial sums
-# after two terms lie within _SERIES_SLACK of 1 - 3q.
+# exp(-pi^2 x) on the right, so q <= exp(-4/_TRUNC) on both tails: the
+# partial sum after one term is at least _SURE_ACCEPT and after two at most
+# 1 + _SERIES_SLACK.  A scaled uniform u <= _SURE_ACCEPT accepts and
+# u > 1 + _SERIES_SLACK rejects without computing q.
 _SERIES_SLACK = 5.0 * math.exp(-12.0 / _TRUNC)
-_PASS_CELLS = 1024  # proposals per pass when few entries are pending
-_MAX_COLS = 8  # proposals per entry and pass
+_SURE_ACCEPT = 1.0 - 3.0 * math.exp(-4.0 / _TRUNC)
+# A batch of n entries starts with ceil(_FIRST_PASS_CELLS / n) proposals
+# per entry, at most _PASS_COLS; each leftover pass draws _PASS_COLS.
+_FIRST_PASS_CELLS = 160
+_PASS_COLS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +101,9 @@ def pg_mean(c: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 
 def _series_accepts(u: float, q: float) -> bool:
-    """Finish the alternating series for u > 1 - 3q (u scaled by the other tests)."""
-    s = 1.0 - 3.0 * q
-    n = 1
+    """Whether u <= 1 - 3q + 5q^3 - 7q^6 + ..., decided from the partial sums."""
+    s = 1.0
+    n = 0
     while True:
         n += 1
         term = (2 * n + 1) * q ** (n * (n + 1) // 2)
@@ -120,30 +127,42 @@ def _pg_pass(
     (j, i) of each block, so per-entry parameters broadcast along rows.
     """
     shape = (cols, z.shape[0])
-    right = rng.random(shape) < p_right
+    side, u = rng.random((2, *shape))
+    right = side < p_right
     e = rng.standard_exponential(shape)
     if big:
         mu = 1.0 / z
         my = mu * rng.standard_normal(shape) ** 2
         x = 2.0 * mu / (2.0 + my + np.sqrt(my * (4.0 + my)))
         x = np.where(rng.random(shape) * (mu + x) > mu, mu * mu / x, x)
-        u = np.where(right | (x <= _TRUNC), rng.random(shape), 2.0)
+        u[(x > _TRUNC) & ~right] = 2.0  # rejects a left proposal beyond _TRUNC
     else:
-        root = _TAIL + e / _TAIL_RATE  # 1/sqrt(x)
-        x = 1.0 / (root * root)
-        d = root - _TAIL_RATE
-        tilt = np.where(right, 0.0, 0.5 * d * d + (0.5 * z * z) * x)
-        u = rng.random(shape) * np.exp(tilt)
-    x = np.where(right, _TRUNC + e / fz, x)
-    q = np.exp(np.where(right, -(math.pi ** 2) * x, -4.0 / x))
-    s = u + 3.0 * q  # accept when s <= 1, reject when s > 1 + _SERIES_SLACK
-    first = (s <= 1.0 + _SERIES_SLACK).argmax(axis=0)
-    entries = np.arange(shape[1])
-    s_first = s[first, entries]
-    accepted = s_first <= 1.0
-    for i in np.flatnonzero((s_first > 1.0) & (s_first <= 1.0 + _SERIES_SLACK)):
-        accepted[i] = _series_accepts(u[first[i], i], q[first[i], i])
-    return accepted, x[first, entries]
+        root = e / _TAIL_RATE
+        root += _TAIL  # 1/sqrt(x)
+        x = 1.0 / root
+        x *= x
+        tilt = root  # (root - _TAIL_RATE)^2 / 2 + z^2 x / 2, in place
+        tilt -= _TAIL_RATE
+        tilt *= tilt
+        tilt += x * (z * z)
+        tilt *= 0.5
+        np.copyto(tilt, 0.0, where=right)  # the right tail has no tilt
+        u *= np.exp(tilt, out=tilt)
+    e /= fz
+    e += _TRUNC
+    np.copyto(x, e, where=right)
+    # the squeeze: only cells in (_SURE_ACCEPT, 1 + _SERIES_SLACK] need q
+    accepted = u <= _SURE_ACCEPT
+    flat = accepted.reshape(-1)
+    for k in np.flatnonzero(flat != (u.reshape(-1) <= 1.0 + _SERIES_SLACK)).tolist():
+        xk = x.item(k)
+        flat[k] = _series_accepts(
+            u.item(k), math.exp(-(math.pi ** 2) * xk if right.item(k) else -4.0 / xk)
+        )
+    draw = x[-1]
+    for j in range(cols - 2, -1, -1):
+        draw = np.where(accepted[j], x[j], draw)
+    return (accepted[0] if cols == 1 else accepted.any(axis=0)), draw
 
 
 def _sample_j(z: np.ndarray, big: bool, rng: np.random.Generator) -> np.ndarray:
@@ -154,14 +173,11 @@ def _sample_j(z: np.ndarray, big: bool, rng: np.random.Generator) -> np.ndarray:
     else:
         w = _SMALL_W * fz * np.exp(fz * _TRUNC)
     p_right = 1.0 / (1.0 + w)
-
-    def cols(k):
-        return min(_MAX_COLS, -(-_PASS_CELLS // max(k, 1)))
-
-    accepted, out = _pg_pass(z, fz, p_right, big, rng, cols(z.shape[0]))
+    cols = min(_PASS_COLS, -(-_FIRST_PASS_CELLS // max(z.shape[0], 1)))
+    accepted, out = _pg_pass(z, fz, p_right, big, rng, cols)
     todo = np.flatnonzero(~accepted)
     while todo.size:
-        accepted, x = _pg_pass(z[todo], fz[todo], p_right[todo], big, rng, cols(todo.size))
+        accepted, x = _pg_pass(z[todo], fz[todo], p_right[todo], big, rng, _PASS_COLS)
         out[todo[accepted]] = x[accepted]
         todo = todo[~accepted]
     return out
@@ -545,6 +561,31 @@ class ConditionalGaussianStream:
         return self.eta.shape[0]
 
 
+def _precision(Xa: np.ndarray, omega: np.ndarray, prior_prec: np.ndarray) -> np.ndarray:
+    """Symmetric precision X' diag(omega) X + prior_prec of one PG-Gibbs full conditional."""
+    lam = (Xa.T * omega) @ Xa + prior_prec
+    return 0.5 * (lam + lam.T)
+
+
+def _draw_theta(
+    lam: np.ndarray, eta: np.ndarray, rng: np.random.Generator, what: str
+) -> np.ndarray:
+    """One draw from N(lam^-1 eta, lam^-1).
+
+    A factor that fails or is not finite goes to ``chol_spd``, which raises
+    SpdError naming what is wrong with ``lam``.
+    """
+    try:
+        low = np.linalg.cholesky(lam)
+    except np.linalg.LinAlgError:
+        low = None
+    if low is None or not np.isfinite(low).all():
+        low = chol_spd(lam, what=what)
+    # theta = lam^-1 eta + low^-T z with z ~ N(0, I)
+    inv = np.linalg.inv(low)
+    return inv.T @ (inv @ eta + rng.standard_normal(eta.shape[0]))
+
+
 def pg_gibbs_logistic(
     model: ModelSpec,
     shard: Shard,
@@ -581,13 +622,9 @@ def pg_gibbs_logistic(
     what = f"conditional precision on shard {shard.shard_id}"
 
     for t in range(n_iter):
-        linpred = Xa @ theta
-        omega = sample_pg_vec(linpred, rng)
-        lam = Xa.T @ (Xa * omega[:, None]) + prior_prec
-        lam = 0.5 * (lam + lam.T)
-        low = chol_spd(lam, what=what)
-        # theta = lam^-1 eta + low^-T z with z ~ N(0, I)
-        theta = np.linalg.solve(low.T, np.linalg.solve(low, eta) + rng.standard_normal(d))
+        omega = sample_pg_vec(Xa @ theta, rng)
+        lam = _precision(Xa, omega, prior_prec)
+        theta = _draw_theta(lam, eta, rng, what)
         if t >= burn_in:
             draws[t - burn_in] = theta
             precs[t - burn_in] = lam

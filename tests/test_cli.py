@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitevidence import cli
+from splitevidence import cli, samplers
 from splitevidence.models import (
     Dataset,
     LinearKnownVar,
@@ -986,6 +986,33 @@ class TestErrorReporting:
         )
         assert code != 0
         assert _read_error(capsys)["code"] == "E_INPUT"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_worker_fails_on_non_finite_pg_draws(
+        self, logistic_fixture, tmp_path, capsys, monkeypatch, bad
+    ):
+        real = samplers.sample_pg_vec
+
+        def broken(c, rng):
+            omega = real(c, rng)
+            omega[0] = bad
+            return omega
+
+        monkeypatch.setattr(samplers, "sample_pg_vec", broken)
+        plan_path = tmp_path / "plan.json"
+        assert cli.main(
+            ["shard", "--data", logistic_fixture["data"], "--splits", "2",
+             "--seed", "0", "--out", str(plan_path)]
+        ) == 0
+        assert cli.main(
+            ["worker", "--data", logistic_fixture["data"], "--model", logistic_fixture["model"],
+             "--plan", str(plan_path), "--shard-id", "1", "--mode", "conditional",
+             "--samples", "100", "--burn-in", "10", "--out", str(tmp_path / "r.json")]
+        ) == 1
+        error = _read_error(capsys)
+        assert error["code"] == "E_WORKER"
+        assert "conditional precision on shard 1 is not finite" in error["message"]
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "edit, code, message",

@@ -19,6 +19,7 @@ from splitevidence import (
     LogisticLikelihood,
     ModelSpec,
     NormalPrior,
+    SpdError,
     log_subposterior_unnorm,
     whole_shard,
 )
@@ -167,10 +168,17 @@ class TestPolyaGammaBatches:
 
     @pytest.mark.parametrize("c", [0.3, 3.2, 8.0])
     def test_law_with_one_proposal_per_pass(self, monkeypatch, c):
-        # every pass resolves only part of the batch, so most draws come
-        # from the passes over the leftover entries
-        monkeypatch.setattr(samplers_module, "_MAX_COLS", 1)
+        # every pass, leftover passes included, draws one proposal per
+        # entry, so an entry rejected in the first pass may take several
+        monkeypatch.setattr(samplers_module, "_PASS_COLS", 1)
         _check_pg_law(_draws_in_batches(c, 625, 12_000, 5), c, 5)
+
+    @pytest.mark.parametrize("c", [0.3, 3.2, 8.0])
+    def test_law_through_the_squeeze_band(self, monkeypatch, c):
+        # a low sure-accept bound sends a large share of proposals through
+        # the exact q-and-series decision, which must not change the law
+        monkeypatch.setattr(samplers_module, "_SURE_ACCEPT", 0.5)
+        _check_pg_law(_draws_in_batches(c, 625, 12_000, 7), c, 7)
 
     @pytest.mark.parametrize("c", [0.3, 3.2, 8.0])
     def test_law_with_every_close_call_on_the_series(self, monkeypatch, c):
@@ -348,6 +356,20 @@ class TestPgGibbs:
         )
         with pytest.raises(ConfigurationError):
             pg_gibbs_logistic(lap, shard, 1, n_iter=10, burn_in=1, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_omega_raises_spd_error(self, monkeypatch, bad):
+        model, shard = logistic_shard_1d(n=40, seed=2)
+        shard = replace(shard, shard_id=3)
+
+        def broken(c, rng):
+            omega = sample_pg_vec(c, rng)
+            omega[7] = bad
+            return omega
+
+        monkeypatch.setattr(samplers_module, "sample_pg_vec", broken)
+        with pytest.raises(SpdError, match="conditional precision on shard 3 is not finite"):
+            pg_gibbs_logistic(model, shard, 2, n_iter=20, burn_in=5, seed=0)
 
     def test_deterministic_given_seed(self):
         model, shard = logistic_shard_1d(n=30, seed=5)
