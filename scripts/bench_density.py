@@ -4,7 +4,7 @@ Builds the ``SubposteriorDensity`` of shard 0 of the ``logistic_basic``
 scenario split 16 ways (625 rows, 5 coefficients), the shard size an
 approx-mode worker sees at S=16, and of shard 0 of the ``rj_mixture``
 scenario split 3 ways (1334 rows, 5 coefficients), the shard size of a
-reversible-jump run at S=3, and times four things. Each line gives the
+reversible-jump run at S=3, and times five things. Each line gives the
 median and the min-max spread over ``--repeats`` repeats; BLAS runs on one
 thread.
 
@@ -15,6 +15,10 @@ thread.
   ns per cell (rows x draws), for each cap ``samplers._BLOCK_CELLS`` on the
   cells of one likelihood block in ``--caps``. This is the importance-sampling
   likelihood block.
+* ``importance_625``: one ``importance_log_evidence`` call with ``--draws``
+  draws on the 625-row shard, proposal from the Laplace fit, in ms. This
+  is the approx-mode evidence step: the proposal draws, one density build,
+  ``logpdf_batch`` and the weight reductions.
 * ``rwmh``: one iteration of ``rwmh_chain`` (1000 iterations, 250 burn-in,
   started at the Laplace fit), in us, split into the target and the kernel,
   which is everything else: proposal, accept test, adaptation, bookkeeping
@@ -39,7 +43,7 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from splitevidence import make_synthetic, uniform_split  # noqa: E402
-from splitevidence import rjmcmc, samplers  # noqa: E402
+from splitevidence import evidence, rjmcmc, samplers  # noqa: E402
 
 CAPS = [2_000_000, 262_144, 131_072, 65_536, 32_768, 16_384]
 
@@ -66,6 +70,13 @@ def ns_per_cell(density, thetas, cap, calls):
     finally:
         samplers._BLOCK_CELLS = saved
     return 1e9 * spent / (calls * density.n * thetas.shape[0])
+
+
+def ms_per_importance(model, shard, n_splits, fit, draws, calls=5):
+    start = time.perf_counter()
+    for seed in range(calls):
+        evidence.importance_log_evidence(model, shard, n_splits, fit, draws, seed=seed)
+    return 1e3 * (time.perf_counter() - start) / calls
 
 
 def rwmh_split(density, fit, seed, n_iter=1000, burn_in=250):
@@ -148,6 +159,8 @@ def main():
     for cap in args.caps:
         runs = [ns_per_cell(density, thetas, cap, 20) for _ in range(args.repeats)]
         row(f"block_{cap}", runs, "ns_per_cell")
+    runs = [ms_per_importance(model, shard, 16, fit, args.draws) for _ in range(args.repeats)]
+    row(f"importance_{density.n}", runs, "ms")
     splits = [rwmh_split(density, fit, seed=r) for r in range(args.repeats)]
     row("rwmh_iter", [total for total, _ in splits], "us")
     row("rwmh_target", [target for _, target in splits], "us")

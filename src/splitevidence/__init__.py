@@ -36,10 +36,6 @@ from .models import (
     Shard,
     load_csv,
     log_alpha,
-    log_likelihood,
-    log_prior,
-    log_subposterior_unnorm,
-    log_subprior,
     model_spec_from_json,
     model_spec_to_json,
     save_csv,

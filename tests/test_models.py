@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from oracle_utils import log_likelihood, log_prior, log_subposterior_unnorm, log_subprior
 from splitevidence import (
     ConfigurationError,
     Dataset,
@@ -25,10 +26,6 @@ from splitevidence import (
     Shard,
     load_csv,
     log_alpha,
-    log_likelihood,
-    log_prior,
-    log_subposterior_unnorm,
-    log_subprior,
     model_spec_from_json,
     model_spec_to_json,
     save_csv,
@@ -386,6 +383,42 @@ class TestSoftplusSum:
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(
             got, np.logaddexp(0.0, block).sum(axis=0), rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [16, 17, 31, 625, 1334])
+    def test_folded_block_matches_logaddexp(self, rows):
+        # a block of 16 rows or more multiplies factors 1 + exp(x) before one
+        # log; a block whose product overflows or holds a NaN is redone by the
+        # guarded route, and no overflow warning leaves the kernel
+        rng = np.random.default_rng(12)
+        block = 5.0 * rng.normal(size=(rows, 8))
+        block[:, 1] = 60.0  # each factor finite, the product of 16 is not
+        block[rows // 2, 2] = np.nan
+        block[-1, 3] = 710.0  # exp overflows
+        block[0, 4] = 699.0
+        block[:, 5] = -40.0  # every factor rounds to 1
+        before = block.copy()
+        got = softplus_sum(block, axis=0)
+        with np.errstate(all="ignore"):
+            ref = np.logaddexp(0.0, block).sum(axis=0)
+        assert got.shape == (8,)
+        assert np.isnan(got[2]) and np.isfinite(np.delete(got, 2)).all()
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(block, before)
+        # without the columns that force the |x| form, the folded products
+        finite = block[:, [0, 5, 6, 7]]
+        np.testing.assert_allclose(
+            softplus_sum(finite, axis=0), np.logaddexp(0.0, finite).sum(axis=0),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    def test_thin_block_keeps_exp_log1p(self):
+        # fewer than 16 rows: the max guard, then exp and log1p per cell
+        rng = np.random.default_rng(13)
+        block = 5.0 * rng.normal(size=(15, 6))
+        np.testing.assert_array_equal(
+            softplus_sum(block, axis=0), np.add.reduce(np.log1p(np.exp(block)), axis=0)
         )
 
 class TestPriorDensities:

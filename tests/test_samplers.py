@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, stats
 
-from oracle_utils import sample_pg_truncated, sample_pg_truncated_vec
+from oracle_utils import log_subposterior_unnorm, sample_pg_truncated, sample_pg_truncated_vec
 from splitevidence import (
     ConfigurationError,
     Dataset,
@@ -20,7 +20,6 @@ from splitevidence import (
     ModelSpec,
     NormalPrior,
     SpdError,
-    log_subposterior_unnorm,
     whole_shard,
 )
 from splitevidence import samplers as samplers_module
@@ -508,6 +507,51 @@ class TestSubposteriorClosure:
             )
             np.testing.assert_allclose(
                 value, log_subposterior_unnorm(model, theta, shard, n_splits), rtol=1e-9
+            )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("prior_kind", ["normal", "laplace"])
+    def test_logistic_scalar_routes_either_side_of_the_bound(self, monkeypatch, prior_kind):
+        # The scalar call skips the overflow-safe kernel when
+        # max_i sum_j |X_ij| * max_j |theta_j| < 700 proves every linear
+        # predictor below 700.  A theta whose bound fails while every
+        # predictor stays below 700, and one with predictors beyond 709,
+        # take the block expression; both match the reference.
+        rng = np.random.default_rng(14)
+        n, p = 40, 3
+        X = rng.normal(size=(n, p))
+        y = (rng.random(n) < 0.5).astype(float)
+        prior = (
+            NormalPrior(mean=rng.normal(size=p), cov=np.eye(p) * 1.5)
+            if prior_kind == "normal"
+            else LaplacePrior(scale=0.9)
+        )
+        model = ModelSpec(model_id="m", likelihood=LogisticLikelihood(), prior=prior, dim=p)
+        shard = whole_shard(Dataset(X=X, y=y))
+        density = SubposteriorDensity(model, shard, 4)
+        bound = np.abs(X).sum(axis=1).max()
+        block_calls = []
+        block_expression = density._logistic_logpdf
+
+        def counted(thetas, work=None):
+            block_calls.append(thetas.ndim)
+            return block_expression(thetas, work)
+
+        monkeypatch.setattr(density, "_logistic_logpdf", counted)
+        direction = rng.normal(size=p)
+        direction /= np.abs(X @ direction).max()
+        for top, guarded in ((1.0, False), (650.0, True), (900.0, True)):
+            theta = top * direction  # max |X theta| is top
+            assert (bound * np.abs(theta).max() >= 700.0) == guarded
+            block_calls.clear()
+            value = density(theta)
+            assert block_calls == ([1] if guarded else [])
+            assert isinstance(value, float) and math.isfinite(value)
+            np.testing.assert_allclose(
+                value, density.logpdf_batch(theta[None])[0], rtol=1e-12, atol=0.0
+            )
+            np.testing.assert_allclose(
+                value, log_subposterior_unnorm(model, theta, shard, 4), rtol=1e-9
             )
 
 
