@@ -17,8 +17,8 @@ thread.
   likelihood block.
 * ``importance_625``: one ``importance_log_evidence`` call with ``--draws``
   draws on the 625-row shard, proposal from the Laplace fit, in ms. This
-  is the approx-mode evidence step: the proposal draws, one density build,
-  ``logpdf_batch`` and the weight reductions.
+  is the approx-mode evidence step: the proposal draws, ``logpdf_batch``
+  and the weight reductions, on the worker's one density.
 * ``rwmh``: one iteration of ``rwmh_chain`` (1000 iterations, 250 burn-in,
   started at the Laplace fit), in us, split into the target and the kernel,
   which is everything else: proposal, accept test, adaptation, bookkeeping
@@ -72,10 +72,10 @@ def ns_per_cell(density, thetas, cap, calls):
     return 1e9 * spent / (calls * density.n * thetas.shape[0])
 
 
-def ms_per_importance(model, shard, n_splits, fit, draws, calls=5):
+def ms_per_importance(density, fit, draws, calls=5):
     start = time.perf_counter()
     for seed in range(calls):
-        evidence.importance_log_evidence(model, shard, n_splits, fit, draws, seed=seed)
+        evidence.importance_log_evidence(density, fit, draws, seed=seed)
     return 1e3 * (time.perf_counter() - start) / calls
 
 
@@ -100,9 +100,7 @@ def rj_split(base, shard, n_splits, seed, n_iter=6000, burn_in=1000):
     """(us per iteration, of which the target) for one run, Laplace fits left out."""
     in_target = in_fit = 0.0
 
-    def closure(model, shard, n_splits):
-        density = samplers.subposterior_closure(model, shard, n_splits)
-
+    def closure(density):
         def target(theta):
             nonlocal in_target
             start = time.perf_counter()
@@ -142,14 +140,14 @@ def main():
     shard = uniform_split(data.X.shape[0], 16, seed=0).shard(data, 0)
     model = models[0]
     density = samplers.SubposteriorDensity(model, shard, 16)
-    fit = samplers.laplace_fit(model, shard, 16)
+    fit = samplers.laplace_fit(density)
     thetas = np.random.default_rng(0).multivariate_normal(fit.mean, 1.5 * fit.cov, args.draws)
     density.logpdf_batch(thetas)  # warm-up
     rwmh_split(density, fit, seed=0)
     rj_data, rj_models = make_synthetic("rj_mixture", seed=0)
     rj_shard = uniform_split(rj_data.X.shape[0], 3, seed=0).shard(rj_data, 0)
     rj_density = samplers.SubposteriorDensity(rj_models[0], rj_shard, 3)
-    rj_mean = samplers.laplace_fit(rj_models[0], rj_shard, 3).mean
+    rj_mean = samplers.laplace_fit(rj_density).mean
 
     print(f"# shards {density.n} x {model.theta_dim} and {rj_density.n} x 5, "
           f"{args.repeats} repeats")
@@ -159,7 +157,7 @@ def main():
     for cap in args.caps:
         runs = [ns_per_cell(density, thetas, cap, 20) for _ in range(args.repeats)]
         row(f"block_{cap}", runs, "ns_per_cell")
-    runs = [ms_per_importance(model, shard, 16, fit, args.draws) for _ in range(args.repeats)]
+    runs = [ms_per_importance(density, fit, args.draws) for _ in range(args.repeats)]
     row(f"importance_{density.n}", runs, "ms")
     splits = [rwmh_split(density, fit, seed=r) for r in range(args.repeats)]
     row("rwmh_iter", [total for total, _ in splits], "us")

@@ -46,7 +46,7 @@ def ns_per_draw(c: np.ndarray, n_draws: int, seed: int) -> float:
     return 1e9 * (time.perf_counter() - start) / (calls * c.size)
 
 
-def gibbs_split(model, shard, n_iter: int, seed: int) -> dict:
+def gibbs_split(density, n_iter: int, seed: int) -> dict:
     """us per PG-Gibbs iteration: the whole iteration and each timed part."""
     busy = defaultdict(float)
     first = []
@@ -66,7 +66,7 @@ def gibbs_split(model, shard, n_iter: int, seed: int) -> dict:
     for name, attr in GIBBS_PARTS:
         setattr(samplers, attr, timed(name, saved[attr]))
     try:
-        samplers.pg_gibbs_logistic(model, shard, 16, n_iter=n_iter, burn_in=0, seed=seed)
+        samplers.pg_gibbs_logistic(density, n_iter=n_iter, burn_in=0, seed=seed)
         end = time.perf_counter()
     finally:
         for attr, fn in saved.items():
@@ -95,9 +95,10 @@ def main():
         print(f"{n},{med:.0f},{min(runs):.0f},{max(runs):.0f},{1e3 / med:.2f}")
 
     shard = uniform_split(data.X.shape[0], 16, seed=0).shard(data, 0)
+    density = samplers.SubposteriorDensity(models[0], shard, 16)
     n_iter = max(10, args.draws // shard.X.shape[0])
-    gibbs_split(models[0], shard, 10, seed=0)  # warm-up
-    splits = [gibbs_split(models[0], shard, n_iter, seed) for seed in range(args.repeats)]
+    gibbs_split(density, 10, seed=0)  # warm-up
+    splits = [gibbs_split(density, n_iter, seed) for seed in range(args.repeats)]
     print(f"# gibbs: {shard.X.shape[0]} rows, {n_iter} iterations per repeat")
     print("name,median_us,min_us,max_us")
     for name in ("iter", *(name for name, _ in GIBBS_PARTS)):

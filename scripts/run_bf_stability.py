@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from splitevidence import (
+    SubposteriorDensity,
     approx_isub,
     combine_evidence,
     laplace_fit,
@@ -25,10 +26,11 @@ from splitevidence.models import log_alpha
 
 
 def combined_log_evidence(model, shards, n_splits):
-    fits = [laplace_fit(model, sh, n_splits) for sh in shards]
+    densities = [SubposteriorDensity(model, sh, n_splits) for sh in shards]
+    fits = [laplace_fit(density) for density in densities]
     locals_ = [
-        laplace_metropolis_log_evidence(model, sh, n_splits, fit)
-        for sh, fit in zip(shards, fits)
+        laplace_metropolis_log_evidence(density, fit)
+        for density, fit in zip(densities, fits)
     ]
     est = combine_evidence(
         log_alpha(model, n_splits), locals_, approx_isub(fits), n_splits

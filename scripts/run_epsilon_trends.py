@@ -15,6 +15,7 @@ import numpy as np
 
 from splitevidence import (
     RunConfig,
+    SubposteriorDensity,
     combine_worker_results,
     epsilon_metrics,
     run_cluster,
@@ -51,7 +52,7 @@ def main():
         prior=NormalPrior(mean=np.zeros(2), cov=np.eye(2)),
         dim=2,
     )
-    exact = quadrature_subposterior_summary(model, whole_shard(data), 1)[0]
+    exact = quadrature_subposterior_summary(SubposteriorDensity(model, whole_shard(data), 1))[0]
     print(f"quadrature log evidence: {exact:+.6f}")
 
     pairs = []

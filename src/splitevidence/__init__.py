@@ -44,6 +44,7 @@ from .models import (
 from .samplers import (
     Chain,
     ConditionalGaussianStream,
+    SubposteriorDensity,
     chain_moments,
     laplace_fit,
     pg_gibbs_logistic,

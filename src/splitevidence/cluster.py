@@ -2,7 +2,9 @@
 
 Each worker receives exactly one shard, samples its subposterior, and
 returns a compact summary: Gaussian moments, a local log evidence, and in
-conditional mode the per-draw Gaussian full conditionals.  Workers never
+conditional mode the per-draw Gaussian full conditionals.  It builds the
+shard's ``SubposteriorDensity`` once, and the Laplace fit, the sampler and
+the evidence estimator all take that one object.  Workers never
 see another shard's rows and never exchange messages; the coordinator
 fans out, waits, and combines.  Approx-mode payloads are O(p^2) per worker
 regardless of shard size or chain length; conditional-mode payloads grow
@@ -51,6 +53,7 @@ from .models import (
 )
 from .samplers import (
     ConditionalGaussianStream,
+    SubposteriorDensity,
     chain_moments,
     laplace_fit,
     pg_gibbs_logistic,
@@ -221,6 +224,8 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
     n_splits = task.n_splits
     config = task.config
     chain = stream = stream_path = None
+    # the one density of this shard: the fit, the chain and the estimator share it
+    density = None if config.mode == "exact" else SubposteriorDensity(model, shard, n_splits)
 
     if config.mode == "exact":
         # analytic bypass for conjugate linear models, used to exercise the
@@ -237,24 +242,18 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
         )
     elif config.mode == "conditional":
         chain, stream = pg_gibbs_logistic(
-            model,
-            shard,
-            n_splits,
-            n_iter=config.samples,
-            burn_in=config.burn_in,
-            seed=task.seed,
+            density, n_iter=config.samples, burn_in=config.burn_in, seed=task.seed
         )
         mom = chain_moments(chain)
-        est = chib_log_evidence(model, shard, n_splits, chain, stream)
+        est = chib_log_evidence(density, chain, stream)
         if task.stream_path is not None:
             write_stream(stream, task.stream_path)
             stream_path = str(task.stream_path)
     else:
         # approx mode: adaptive random-walk chain started at the Laplace fit
-        fit = laplace_fit(model, shard, n_splits)
-        target = subposterior_closure(model, shard, n_splits)
+        fit = laplace_fit(density)
         chain = rwmh_chain(
-            target,
+            subposterior_closure(density),
             fit.mean,
             n_iter=config.samples,
             burn_in=config.burn_in,
@@ -264,9 +263,7 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
         mom = chain_moments(chain)
         if config.evidence == "importance":
             est = importance_log_evidence(
-                model,
-                shard,
-                n_splits,
+                density,
                 mom,
                 n_samples=config.evidence_samples,
                 # the evidence stage gets its own stream so changing the chain
@@ -274,7 +271,7 @@ def _run_worker_inner(task: WorkerTask) -> WorkerResult:
                 seed=derived_seed(task.seed, shard.shard_id, _ROLE_EVIDENCE),
             )
         else:
-            est = laplace_metropolis_log_evidence(model, shard, n_splits, mom)
+            est = laplace_metropolis_log_evidence(density, mom)
 
     return WorkerResult(
         shard_id=shard.shard_id,

@@ -175,9 +175,7 @@ def _refined_log_integral(log_f, lo, hi, rel_tol: float, what: str):
 
 
 def quadrature_subposterior_summary(
-    model: ModelSpec,
-    shard: Shard,
-    n_splits: int,
+    density: SubposteriorDensity,
     rel_tol: float = 1e-9,
     n_widths: float = 10.0,
 ) -> Tuple[float, GaussianMoments]:
@@ -186,14 +184,14 @@ def quadrature_subposterior_summary(
     Only for models with at most two free parameters.  The integration box
     is the Laplace fit mean plus/minus ``n_widths`` marginal deviations.
     """
-    d = model.theta_dim
+    d = density.dim
     if d > 2:
         raise DomainError(f"quadrature oracle is limited to 2 dimensions, got {d}")
-    fit = laplace_fit(model, shard, n_splits)
+    fit = laplace_fit(density)
     sd = np.sqrt(np.diag(fit.cov))
     lo = fit.mean - n_widths * sd
     hi = fit.mean + n_widths * sd
-    log_f = SubposteriorDensity(model, shard, n_splits).logpdf_batch
+    log_f = density.logpdf_batch
     log_norm, pts, logw = _refined_log_integral(
         log_f, lo, hi, rel_tol, "subposterior normalizer"
     )
@@ -222,11 +220,12 @@ def quadrature_isub_oracle(
     d = model.theta_dim
     if d > 2:
         raise DomainError(f"quadrature oracle is limited to 2 dimensions, got {d}")
+    densities = [SubposteriorDensity(model, shard, n_splits) for shard in shards]
     log_norms = []
     moments = []
-    for shard in shards:
+    for density in densities:
         log_norm, mom = quadrature_subposterior_summary(
-            model, shard, n_splits, rel_tol=rel_tol, n_widths=n_widths
+            density, rel_tol=rel_tol, n_widths=n_widths
         )
         log_norms.append(log_norm)
         moments.append(mom)
@@ -234,8 +233,6 @@ def quadrature_isub_oracle(
     sd = np.sqrt(np.diag(pooled.cov))
     lo = pooled.mean - n_widths * sd
     hi = pooled.mean + n_widths * sd
-
-    densities = [SubposteriorDensity(model, shard, n_splits) for shard in shards]
 
     def log_f(pts):
         total = np.zeros(pts.shape[0])

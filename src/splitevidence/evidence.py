@@ -6,7 +6,8 @@ For S shards the full-data log evidence decomposes exactly as
 
 where ev_s is the evidence of shard s under the fractionated prior and
 I_sub is the integral of the product of the S normalized subposterior
-densities.  The estimators below produce the per-shard pieces; I_sub is
+densities.  The estimators below produce the per-shard pieces, each from
+the shard's ``SubposteriorDensity`` as its worker built it; I_sub is
 computed either from Gaussian moment summaries (approximate) or from the
 per-draw Gaussian full conditionals of a PG-Gibbs run (conditional), in
 both cases by the one kernel ``gaussian.log_product_integrals``.
@@ -29,12 +30,12 @@ from .gaussian import (
     log_product_integrals,
     natural_params,
 )
-from .models import ModelSpec, Shard
 from .samplers import Chain, ConditionalGaussianStream, SubposteriorDensity
 
 LOG_2PI = math.log(2.0 * math.pi)
 MIN_IMPORTANCE_DRAWS = 100
 LOW_ESS = 10.0  # importance-weight ESS below which an estimate warns "low_ess"
+PROPOSAL_INFLATION = 1.5  # importance proposal covariance over the moment covariance
 
 METHODS = (
     "chib",
@@ -114,9 +115,7 @@ def _logmeanexp_with_se(log_terms: np.ndarray) -> Tuple[float, float]:
 
 
 def chib_log_evidence(
-    model: ModelSpec,
-    shard: Shard,
-    n_splits: int,
+    density: SubposteriorDensity,
     chain: Chain,
     stream: ConditionalGaussianStream,
     theta_star: Optional[np.ndarray] = None,
@@ -138,7 +137,7 @@ def chib_log_evidence(
     log_cond = stream.eta @ theta_star - 0.5 * quad + xis
     log_ordinate, se = _logmeanexp_with_se(log_cond)
 
-    log_ev = SubposteriorDensity(model, shard, n_splits)(theta_star) - log_ordinate
+    log_ev = density(theta_star) - log_ordinate
     return EvidenceEstimate(
         log_value=float(log_ev),
         mc_std_err=se,
@@ -148,36 +147,31 @@ def chib_log_evidence(
 
 
 def importance_log_evidence(
-    model: ModelSpec,
-    shard: Shard,
-    n_splits: int,
+    density: SubposteriorDensity,
     proposal: GaussianMoments,
     n_samples: int = 10_000,
-    inflation: float = 1.5,
     seed: int = 0,
 ) -> EvidenceEstimate:
     """Importance-sampled shard evidence under the fractionated prior.
 
-    The proposal is N(mean, inflation * cov); weights are
+    The proposal is N(mean, PROPOSAL_INFLATION * cov); weights are
     lik * subprior / proposal, averaged with log-sum-exp.
     """
     if n_samples < MIN_IMPORTANCE_DRAWS:
         raise DomainError(f"importance sampling needs at least {MIN_IMPORTANCE_DRAWS} draws")
-    if not inflation > 0:
-        raise DomainError("proposal inflation must be positive")
-    d = model.theta_dim
+    d = density.dim
     if proposal.dim != d:
         raise EstimatorError(
             f"proposal dimension {proposal.dim} does not match model dimension {d}"
         )
     rng = np.random.default_rng(seed)
-    low = chol_spd(inflation * proposal.cov, what="proposal covariance")
+    low = chol_spd(PROPOSAL_INFLATION * proposal.cov, what="proposal covariance")
     z = rng.standard_normal((n_samples, d))
     thetas = proposal.mean + z @ low.T
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
     log_q = -0.5 * (d * LOG_2PI + logdet + np.einsum("md,md->m", z, z))
 
-    log_w = SubposteriorDensity(model, shard, n_splits).logpdf_batch(thetas) - log_q
+    log_w = density.logpdf_batch(thetas) - log_q
     if np.any(np.isnan(log_w)):
         raise EstimatorError("importance weights contain NaN")
     log_ev, se = _logmeanexp_with_se(log_w)
@@ -196,24 +190,20 @@ def importance_log_evidence(
 
 
 def laplace_metropolis_log_evidence(
-    model: ModelSpec,
-    shard: Shard,
-    n_splits: int,
-    moments: GaussianMoments,
+    density: SubposteriorDensity, moments: GaussianMoments
 ) -> EvidenceEstimate:
     """Gaussian-volume evidence approximation at the moment summary.
 
     (p/2) log 2pi + (1/2) log|cov| + log lik(mean) + log subprior(mean).
     Exact when the subposterior is Gaussian.
     """
-    d = model.theta_dim
+    d = density.dim
     if moments.dim != d:
         raise EstimatorError(
             f"moment dimension {moments.dim} does not match model dimension {d}"
         )
     low = moments.chol()
     logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
-    density = SubposteriorDensity(model, shard, n_splits)
     log_ev = 0.5 * d * LOG_2PI + 0.5 * logdet + density(moments.mean)
     return EvidenceEstimate(
         log_value=float(log_ev),

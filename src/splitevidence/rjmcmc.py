@@ -30,7 +30,7 @@ from .models import (
     check_compatible,
     log_alpha,
 )
-from .samplers import laplace_fit, subposterior_closure
+from .samplers import SubposteriorDensity, laplace_fit, subposterior_closure
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -187,7 +187,8 @@ class _ModelCache:
         if cached is not None:
             return cached
         spec = submodel(self.base, ModelIndicator(active, self.base.dim))
-        target = subposterior_closure(spec, self.shard, self.n_splits)
+        density = SubposteriorDensity(spec, self.shard, self.n_splits)
+        target = subposterior_closure(density)
         d = spec.theta_dim
         if d == 0:
             entry = {
@@ -198,7 +199,7 @@ class _ModelCache:
                 "prop_chol": None,
             }
         else:
-            fit = laplace_fit(spec, self.shard, self.n_splits)
+            fit = laplace_fit(density)
             scale = 2.38**2 / d
             prop_chol = chol_spd(
                 scale * (fit.cov + 1e-9 * np.eye(d)), what="jump proposal covariance"

@@ -2,10 +2,11 @@
 
 ``SubposteriorDensity`` is the one place in the package where the shard
 density (likelihood times the fractionated prior p(theta)^(1/S) / alpha) is
-defined and tuned.  It serves the random-walk and reversible-jump target,
-the objective, gradient and Hessian of the Newton iteration of the Laplace
-fit, the prior block of PG-Gibbs, and the evidence estimators and
-quadrature oracles; its logistic likelihood runs through the
+defined and tuned.  One instance per (model, shard, S) serves the
+random-walk and reversible-jump target, the objective, gradient and Hessian
+of the Newton iteration of the Laplace fit, the design and prior block of
+PG-Gibbs, and the evidence estimators and quadrature oracles, each of which
+takes it as its first argument; its logistic likelihood runs through the
 ``models.softplus_sum`` kernel.
 
 Two samplers produce subposterior draws.  A generic random-walk Metropolis
@@ -210,17 +211,11 @@ class Chain:
     """Retained draws of one subposterior sampler run."""
 
     draws: np.ndarray  # (N_retained, theta_dim)
-    burn_in: int
     acceptance_rate: Optional[float]
-    seed: int
 
     @property
     def n_retained(self) -> int:
         return self.draws.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.draws.shape[1]
 
 
 def chain_moments(chain: Chain) -> GaussianMoments:
@@ -244,7 +239,8 @@ class SubposteriorDensity:
     Calling it on one theta gives the log density, the random-walk and
     reversible-jump target; ``logpdf_batch`` evaluates a stack of thetas for
     the evidence estimators; ``neg_and_grad`` and ``neg_hessian`` give the
-    Laplace fit its objective, gradient and curvature.
+    Laplace fit its objective, gradient and curvature.  ``dim`` is the
+    model's theta_dim and ``shard_id`` the shard's id.
 
     The fractionated prior has at most two blocks: a Gaussian block on the
     trailing coordinates ``gauss`` (all of theta under a normal prior, log
@@ -278,6 +274,8 @@ class SubposteriorDensity:
         S = n_splits
         lik = model.likelihood
         self.n_coef = model.n_coef
+        self.dim = model.theta_dim
+        self.shard_id = shard.shard_id
         X = design(model, shard)
         self.y = shard.y
         self.n = self.y.shape[0]
@@ -477,9 +475,13 @@ class SubposteriorDensity:
         return 0.5 * hess + 0.5 * hess.T  # halves first: the sum of two may overflow
 
 
-def subposterior_closure(model: ModelSpec, shard: Shard, n_splits: int) -> SubposteriorDensity:
-    """The shard's subposterior density, a callable log density of theta."""
-    return SubposteriorDensity(model, shard, n_splits)
+def subposterior_closure(density: SubposteriorDensity) -> Callable[[np.ndarray], float]:
+    """The chain target of a shard: its density, a callable log density of theta.
+
+    The samplers' target goes through here and nothing else does, so that
+    a wrapper put in its place sees exactly the chain's calls.
+    """
+    return density
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +562,7 @@ def rwmh_chain(
             accepted_post += 1
         draws[t] = x
     rate = accepted_post / (n_iter - burn_in)
-    return Chain(draws=draws, burn_in=burn_in, acceptance_rate=rate, seed=seed)
+    return Chain(draws=draws, acceptance_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -612,31 +614,28 @@ def _draw_theta(
 
 
 def pg_gibbs_logistic(
-    model: ModelSpec,
-    shard: Shard,
-    n_splits: int,
+    density: SubposteriorDensity,
     n_iter: int = 10_000,
     burn_in: int = 2_000,
     seed: int = 0,
 ) -> Tuple[Chain, ConditionalGaussianStream]:
     """Polya-Gamma Gibbs sampler for a logistic subposterior.
 
-    Requires a logistic likelihood and a normal prior.  Returns the retained
-    coefficient draws together with the stream of per-draw Gaussian full
-    conditionals (constant natural mean X'(y - 1/2) + V0^-1 m0 / S, per-draw
-    precision X' diag(omega) X + V0^-1 / S).
+    Requires the density of a logistic likelihood under a normal prior.
+    Returns the retained coefficient draws together with the stream of
+    per-draw Gaussian full conditionals (constant natural mean
+    X'(y - 1/2) + V0^-1 m0 / S, per-draw precision X' diag(omega) X + V0^-1 / S).
     """
-    if not isinstance(model.likelihood, LogisticLikelihood):
+    if not density.logistic:
         raise ConfigurationError("PG-Gibbs requires a logistic likelihood")
-    if not isinstance(model.prior, NormalPrior):
+    if density.laplace_scale is not None:
         raise ConfigurationError("PG-Gibbs requires a normal prior")
     if not 0 <= burn_in < n_iter:
         raise DomainError(f"need 0 <= burn_in < n_iter, got {burn_in}, {n_iter}")
 
-    density = SubposteriorDensity(model, shard, n_splits)
     Xa = density.X
     prior_prec = density.prior_prec
-    d = model.theta_dim
+    d = density.dim
     rng = np.random.default_rng(seed)
     eta = Xa.T @ (density.y - 0.5) + prior_prec @ density.prior_mean
 
@@ -644,7 +643,7 @@ def pg_gibbs_logistic(
     draws = np.empty((n_keep, d))
     precs = np.empty((n_keep, d, d))
     theta = density.prior_mean.copy()
-    what = f"conditional precision on shard {shard.shard_id}"
+    what = f"conditional precision on shard {density.shard_id}"
 
     for t in range(n_iter):
         omega = sample_pg_vec(Xa @ theta, rng)
@@ -654,7 +653,7 @@ def pg_gibbs_logistic(
             draws[t - burn_in] = theta
             precs[t - burn_in] = lam
 
-    chain = Chain(draws=draws, burn_in=burn_in, acceptance_rate=None, seed=seed)
+    chain = Chain(draws=draws, acceptance_rate=None)
     stream = ConditionalGaussianStream(eta=eta, precisions=precs)
     return chain, stream
 
@@ -701,7 +700,7 @@ _ROUNDING = 1e-12  # relative rounding of the objective a step may add
 
 
 def laplace_fit(
-    model: ModelSpec, shard: Shard, n_splits: int, init: Optional[np.ndarray] = None
+    density: SubposteriorDensity, init: Optional[np.ndarray] = None
 ) -> GaussianMoments:
     """Subposterior MAP and inverse curvature as Gaussian moments.
 
@@ -717,8 +716,7 @@ def laplace_fit(
     is optimal in that coordinate.  By default the fit starts at the prior
     mean, with log sigma of a linear likelihood at the residual scale there.
     """
-    density = SubposteriorDensity(model, shard, n_splits)
-    d = model.theta_dim
+    d = density.dim
     if init is None:
         x = np.zeros(d)
         x[density.gauss] = density.prior_mean

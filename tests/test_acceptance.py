@@ -55,7 +55,7 @@ from splitevidence.models import (
     NormalPrior,
     log_alpha,
 )
-from splitevidence.samplers import pg_mean, sample_pg_vec
+from splitevidence.samplers import SubposteriorDensity, pg_mean, sample_pg_vec
 
 
 def _report(label: str, detail: str) -> None:
@@ -197,16 +197,14 @@ def test_evidence_estimators_agree():
     model1 = ModelSpec(
         model_id="one", likelihood=LogisticLikelihood(), prior=prior1, dim=1
     )
-    shard = whole_shard(small)
-    quad, _ = quadrature_subposterior_summary(model1, shard, 1)
+    density = SubposteriorDensity(model1, whole_shard(small), 1)
+    quad, _ = quadrature_subposterior_summary(density)
 
-    chain, stream = pg_gibbs_logistic(
-        model1, shard, 1, n_iter=6_000, burn_in=1_000, seed=11
-    )
-    chib = chib_log_evidence(model1, shard, 1, chain, stream)
-    fit = laplace_fit(model1, shard, 1)
-    imp = importance_log_evidence(model1, shard, 1, fit, n_samples=20_000, seed=3)
-    lm = laplace_metropolis_log_evidence(model1, shard, 1, chain_moments(chain))
+    chain, stream = pg_gibbs_logistic(density, n_iter=6_000, burn_in=1_000, seed=11)
+    chib = chib_log_evidence(density, chain, stream)
+    fit = laplace_fit(density)
+    imp = importance_log_evidence(density, fit, n_samples=20_000, seed=3)
+    lm = laplace_metropolis_log_evidence(density, chain_moments(chain))
     errs = {
         "chib": abs(chib.log_value - quad),
         "importance": abs(imp.log_value - quad),
@@ -223,14 +221,11 @@ def test_evidence_estimators_agree():
         prior=NormalPrior(mean=np.zeros(5), cov=np.eye(5)),
         dim=5,
     )
-    big_shard = whole_shard(big)
-    chain5, stream5 = pg_gibbs_logistic(
-        model5, big_shard, 1, n_iter=4_000, burn_in=800, seed=21
-    )
-    chib5 = chib_log_evidence(model5, big_shard, 1, chain5, stream5)
+    density5 = SubposteriorDensity(model5, whole_shard(big), 1)
+    chain5, stream5 = pg_gibbs_logistic(density5, n_iter=4_000, burn_in=800, seed=21)
+    chib5 = chib_log_evidence(density5, chain5, stream5)
     imp5 = importance_log_evidence(
-        model5, big_shard, 1, laplace_fit(model5, big_shard, 1),
-        n_samples=20_000, seed=9,
+        density5, laplace_fit(density5), n_samples=20_000, seed=9
     )
     gap = abs(chib5.log_value - imp5.log_value)
     assert gap < 0.1, f"chib vs importance gap {gap:.3f}"
@@ -262,10 +257,11 @@ def test_bayes_factors_stable_across_splits():
             )
             evs = []
             for model in models:
-                fits = [laplace_fit(model, sh, n_splits) for sh in shards]
+                densities = [SubposteriorDensity(model, sh, n_splits) for sh in shards]
+                fits = [laplace_fit(density) for density in densities]
                 locals_ = [
-                    laplace_metropolis_log_evidence(model, sh, n_splits, fit)
-                    for sh, fit in zip(shards, fits)
+                    laplace_metropolis_log_evidence(density, fit)
+                    for density, fit in zip(densities, fits)
                 ]
                 est = combine_evidence(
                     log_alpha(model, n_splits),
@@ -361,7 +357,7 @@ def test_epsilon_metrics_trend_with_split_count():
         prior=NormalPrior(mean=np.zeros(2), cov=np.eye(2)),
         dim=2,
     )
-    exact = quadrature_subposterior_summary(model, whole_shard(data), 1)[0]
+    exact = quadrature_subposterior_summary(SubposteriorDensity(model, whole_shard(data), 1))[0]
 
     split_grid = (1, 2, 4, 8)
     pairs = []

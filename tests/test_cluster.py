@@ -18,6 +18,7 @@ from splitevidence import (
     make_synthetic,
     whole_shard,
 )
+from splitevidence import cluster as cluster_module
 from splitevidence.cluster import (
     RunConfig,
     WorkerResult,
@@ -34,7 +35,7 @@ from splitevidence.cluster import (
     write_worker_result,
 )
 from splitevidence.diagnostics import quadrature_subposterior_summary
-from splitevidence.samplers import ConditionalGaussianStream
+from splitevidence.samplers import ConditionalGaussianStream, SubposteriorDensity
 from splitevidence.sharding import uniform_split
 
 
@@ -226,6 +227,48 @@ class TestRunWorker:
         assert result.stream.n_records == result.n_samples
         assert result.acceptance_rate is None
 
+    @pytest.mark.parametrize(
+        "mode, evidence",
+        [("approx", "importance"), ("approx", "laplace"), ("conditional", "chib")],
+    )
+    def test_one_density_build_per_task(self, monkeypatch, mode, evidence):
+        # the Laplace fit, the chain and the estimator share the task's density
+        builds = []
+        build = SubposteriorDensity.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            build(self, *args)
+
+        monkeypatch.setattr(SubposteriorDensity, "__init__", counted)
+        data, model = _logistic_setup()
+        config = RunConfig(
+            mode=mode, evidence=evidence, samples=400, burn_in=100, evidence_samples=200
+        )
+        run_worker(WorkerTask(whole_shard(data), model, 2, config, seed=0))
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("evidence", ["importance", "laplace"])
+    def test_only_the_chain_target_goes_through_the_closure(self, monkeypatch, evidence):
+        # a plain function in place of the closure (as a tracing wrapper
+        # returns) sees every chain call and changes no byte of the result
+        data, model = _logistic_setup()
+        config = RunConfig(evidence=evidence, samples=400, burn_in=100, evidence_samples=200)
+        task = WorkerTask(whole_shard(data), model, 2, config, seed=0)
+        plain = encode_worker_result(run_worker(task))
+        calls = []
+
+        def closure(density):
+            def target(theta):
+                calls.append(theta)
+                return density(theta)
+
+            return target
+
+        monkeypatch.setattr(cluster_module, "subposterior_closure", closure)
+        assert encode_worker_result(run_worker(task)) == plain
+        assert len(calls) == config.samples + 1
+
 
 class TestRunCluster:
     def test_single_shard_matches_worker(self):
@@ -292,7 +335,7 @@ class TestRunCluster:
 
     def test_conditional_end_to_end(self, tmp_path):
         data, model = _logistic_setup()
-        truth, _ = quadrature_subposterior_summary(model, whole_shard(data), 1)
+        truth, _ = quadrature_subposterior_summary(SubposteriorDensity(model, whole_shard(data), 1))
         plan = uniform_split(data.X.shape[0], 2, seed=0)
         cfg = RunConfig(
             mode="conditional",

@@ -15,6 +15,7 @@ from splitevidence import (
     ModelSpec,
     NormalPrior,
     Shard,
+    SubposteriorDensity,
     approx_isub,
     epsilon_metrics,
     error_table_metrics,
@@ -165,7 +166,7 @@ class TestQuadratureOracles:
             dim=2,
         )
         shard = whole_shard(data)
-        log_norm, mom = quadrature_subposterior_summary(model, shard, 2)
+        log_norm, mom = quadrature_subposterior_summary(SubposteriorDensity(model, shard, 2))
         assert log_norm == pytest.approx(exact_local_evidence(model, shard, 2), abs=1e-8)
         exact = exact_local_moments(model, shard, 2)
         assert np.allclose(mom.mean, exact.mean, atol=1e-8)
@@ -175,7 +176,7 @@ class TestQuadratureOracles:
         data, models = make_synthetic("logistic_basic", seed=0)
         shard = whole_shard(data)
         with pytest.raises(DomainError):
-            quadrature_subposterior_summary(models[0], shard, 1)
+            quadrature_subposterior_summary(SubposteriorDensity(models[0], shard, 1))
         with pytest.raises(DomainError):
             quadrature_isub_oracle(models[0], [shard], 2)
 

@@ -20,6 +20,7 @@ from splitevidence import (
     NormalPrior,
     Shard,
     SpdError,
+    SubposteriorDensity,
     approx_isub,
     chib_log_evidence,
     combine_evidence,
@@ -107,7 +108,9 @@ class TestImportance:
         shard = whole_shard(data)
         truth = exact_local_evidence(model, shard, 1)
         mom = exact_local_moments(model, shard, 1)
-        est = importance_log_evidence(model, shard, 1, mom, n_samples=20_000, seed=4)
+        est = importance_log_evidence(
+            SubposteriorDensity(model, shard, 1), mom, n_samples=20_000, seed=4
+        )
         assert est.method == "importance"
         assert abs(est.log_value - truth) < 5 * est.mc_std_err
         assert abs(est.log_value - truth) < 0.01
@@ -117,16 +120,18 @@ class TestImportance:
     def test_matches_quadrature_logistic(self):
         data, model = _logistic_problem()
         shard = whole_shard(data)
-        truth, mom = quadrature_subposterior_summary(model, shard, 1)
-        est = importance_log_evidence(model, shard, 1, mom, n_samples=20_000, seed=9)
+        density = SubposteriorDensity(model, shard, 1)
+        truth, mom = quadrature_subposterior_summary(density)
+        est = importance_log_evidence(density, mom, n_samples=20_000, seed=9)
         assert abs(est.log_value - truth) < 0.02
 
     def test_deterministic_in_seed(self):
         data, model = _conjugate_problem()
         shard = whole_shard(data)
         mom = exact_local_moments(model, shard, 1)
-        a = importance_log_evidence(model, shard, 1, mom, n_samples=500, seed=3)
-        b = importance_log_evidence(model, shard, 1, mom, n_samples=500, seed=3)
+        density = SubposteriorDensity(model, shard, 1)
+        a = importance_log_evidence(density, mom, n_samples=500, seed=3)
+        b = importance_log_evidence(density, mom, n_samples=500, seed=3)
         assert a.log_value == b.log_value
         assert a.ess == b.ess
 
@@ -135,7 +140,7 @@ class TestImportance:
         shard = whole_shard(data)
         bad = GaussianMoments(mean=np.array([5.0]), cov=np.array([[1e-4]]))
         est = importance_log_evidence(
-            model, shard, 1, bad, n_samples=200, inflation=1.0, seed=0
+            SubposteriorDensity(model, shard, 1), bad, n_samples=200, seed=0
         )
         assert est.ess < 10
         assert est.warnings == ("low_ess",)
@@ -144,13 +149,12 @@ class TestImportance:
         data, model = _conjugate_problem()
         shard = whole_shard(data)
         mom = exact_local_moments(model, shard, 1)
+        density = SubposteriorDensity(model, shard, 1)
         with pytest.raises(DomainError):
-            importance_log_evidence(model, shard, 1, mom, n_samples=50)
-        with pytest.raises(DomainError):
-            importance_log_evidence(model, shard, 1, mom, inflation=0.0)
+            importance_log_evidence(density, mom, n_samples=50)
         wrong = GaussianMoments(mean=np.zeros(3), cov=np.eye(3))
         with pytest.raises(EstimatorError):
-            importance_log_evidence(model, shard, 1, wrong)
+            importance_log_evidence(density, wrong)
 
 
 class TestLaplaceMetropolis:
@@ -162,7 +166,8 @@ class TestLaplaceMetropolis:
             for shard in shards:
                 truth = exact_local_evidence(model, shard, n_splits)
                 mom = exact_local_moments(model, shard, n_splits)
-                est = laplace_metropolis_log_evidence(model, shard, n_splits, mom)
+                density = SubposteriorDensity(model, shard, n_splits)
+                est = laplace_metropolis_log_evidence(density, mom)
                 assert est.method == "laplace"
                 assert est.mc_std_err is None
                 assert abs(est.log_value - truth) < 1e-8
@@ -170,26 +175,26 @@ class TestLaplaceMetropolis:
     def test_close_on_logistic(self):
         data, model = _logistic_problem()
         shard = whole_shard(data)
-        truth, mom = quadrature_subposterior_summary(model, shard, 1)
-        est = laplace_metropolis_log_evidence(model, shard, 1, mom)
+        density = SubposteriorDensity(model, shard, 1)
+        truth, mom = quadrature_subposterior_summary(density)
+        est = laplace_metropolis_log_evidence(density, mom)
         assert abs(est.log_value - truth) < 0.05
 
     def test_dim_mismatch(self):
         data, model = _conjugate_problem()
         wrong = GaussianMoments(mean=np.zeros(5), cov=np.eye(5))
         with pytest.raises(EstimatorError):
-            laplace_metropolis_log_evidence(model, whole_shard(data), 1, wrong)
+            laplace_metropolis_log_evidence(SubposteriorDensity(model, whole_shard(data), 1), wrong)
 
 
 class TestChib:
     def test_matches_quadrature_1d_logistic(self):
         data, model = _logistic_problem()
         for n_splits, shard in [(1, whole_shard(data)), (2, _round_robin(data, 2)[0])]:
-            truth, _ = quadrature_subposterior_summary(model, shard, n_splits)
-            chain, stream = pg_gibbs_logistic(
-                model, shard, n_splits, n_iter=6000, burn_in=1000, seed=11
-            )
-            est = chib_log_evidence(model, shard, n_splits, chain, stream)
+            density = SubposteriorDensity(model, shard, n_splits)
+            truth, _ = quadrature_subposterior_summary(density)
+            chain, stream = pg_gibbs_logistic(density, n_iter=6000, burn_in=1000, seed=11)
+            est = chib_log_evidence(density, chain, stream)
             assert est.method == "chib"
             assert est.n_samples_used == chain.n_retained
             assert abs(est.log_value - truth) < 0.02
@@ -197,25 +202,23 @@ class TestChib:
     def test_agrees_with_importance(self):
         data, model = _logistic_problem(seed=3, n=300)
         shard = whole_shard(data)
-        chain, stream = pg_gibbs_logistic(
-            model, shard, 1, n_iter=6000, burn_in=1000, seed=2
-        )
-        chib = chib_log_evidence(model, shard, 1, chain, stream)
+        density = SubposteriorDensity(model, shard, 1)
+        chain, stream = pg_gibbs_logistic(density, n_iter=6000, burn_in=1000, seed=2)
+        chib = chib_log_evidence(density, chain, stream)
         from splitevidence import chain_moments
 
         mom = chain_moments(chain)
-        imp = importance_log_evidence(model, shard, 1, mom, n_samples=20_000, seed=5)
+        imp = importance_log_evidence(density, mom, n_samples=20_000, seed=5)
         assert abs(chib.log_value - imp.log_value) < 0.05
 
     def test_explicit_anchor_point(self):
         data, model = _logistic_problem()
         shard = whole_shard(data)
-        chain, stream = pg_gibbs_logistic(
-            model, shard, 1, n_iter=4000, burn_in=1000, seed=11
-        )
-        default = chib_log_evidence(model, shard, 1, chain, stream)
+        density = SubposteriorDensity(model, shard, 1)
+        chain, stream = pg_gibbs_logistic(density, n_iter=4000, burn_in=1000, seed=11)
+        default = chib_log_evidence(density, chain, stream)
         shifted = chib_log_evidence(
-            model, shard, 1, chain, stream, theta_star=chain.draws.mean(0) + 0.05
+            density, chain, stream, theta_star=chain.draws.mean(0) + 0.05
         )
         # identity holds at any anchor with positive posterior density
         assert abs(default.log_value - shifted.log_value) < 0.02
@@ -223,14 +226,13 @@ class TestChib:
     def test_stream_chain_mismatch(self):
         data, model = _logistic_problem()
         shard = whole_shard(data)
-        chain, stream = pg_gibbs_logistic(
-            model, shard, 1, n_iter=2000, burn_in=500, seed=0
-        )
+        density = SubposteriorDensity(model, shard, 1)
+        chain, stream = pg_gibbs_logistic(density, n_iter=2000, burn_in=500, seed=0)
         short = ConditionalGaussianStream(
             eta=stream.eta, precisions=stream.precisions[:-1]
         )
         with pytest.raises(EstimatorError):
-            chib_log_evidence(model, shard, 1, chain, short)
+            chib_log_evidence(density, chain, short)
 
 
 class TestConditionalIsub:
@@ -257,7 +259,10 @@ class TestConditionalIsub:
         streams = []
         for shard in shards:
             _, stream = pg_gibbs_logistic(
-                model, shard, n_splits, n_iter=6000, burn_in=1000, seed=17 + shard.shard_id
+                SubposteriorDensity(model, shard, n_splits),
+                n_iter=6000,
+                burn_in=1000,
+                seed=17 + shard.shard_id,
             )
             streams.append(stream)
         got = conditional_isub(streams)

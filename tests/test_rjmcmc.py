@@ -38,6 +38,7 @@ from splitevidence.rjmcmc import (
     submodel,
     write_rj_output,
 )
+from splitevidence.samplers import SubposteriorDensity
 from splitevidence.sharding import uniform_split
 
 
@@ -204,6 +205,40 @@ class TestPriorRecovery:
         )
         stat, pvalue = chisquare(observed, expected * n_eff)
         assert pvalue > 0.01, f"chi-square p={pvalue:.4f} (stat {stat:.1f})"
+
+
+class TestModelCache:
+    def test_one_density_build_per_visited_model(self, monkeypatch):
+        # the target and the Laplace fit of a model share one density,
+        # built when the chain first proposes the model
+        builds = []
+        build = SubposteriorDensity.__init__
+
+        def counted(self, model, shard, n_splits):
+            builds.append(model.active_features)
+            build(self, model, shard, n_splits)
+
+        caches = []
+
+        class Recorded(rjmcmc_module._ModelCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(self)
+
+        monkeypatch.setattr(SubposteriorDensity, "__init__", counted)
+        monkeypatch.setattr(rjmcmc_module, "_ModelCache", Recorded)
+        p, n = 3, 40
+        data = Dataset(X=np.zeros((n, p)), y=(np.arange(n) % 2).astype(float))
+        base = ModelSpec(
+            model_id="flat",
+            likelihood=LogisticLikelihood(),
+            prior=NormalPrior(mean=np.zeros(p), cov=np.eye(p)),
+            dim=p,
+        )
+        rjmcmc_sample(base, whole_shard(data), 2, n_iter=2000, burn_in=100, seed=0)
+        (cache,) = caches
+        assert () in cache._entries
+        assert sorted(builds) == sorted(cache._entries)
 
 
 @pytest.fixture(scope="module")

@@ -271,13 +271,13 @@ class TestRwmh:
 class TestChainMoments:
     def test_known_draws(self):
         draws = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-        chain = Chain(draws=draws, burn_in=0, acceptance_rate=None, seed=0)
+        chain = Chain(draws=draws, acceptance_rate=None)
         mom = chain_moments(chain)
         np.testing.assert_allclose(mom.mean, [1.0, 1.0])
         np.testing.assert_allclose(mom.cov, (4.0 / 3.0) * np.eye(2))
 
     def test_too_few_draws(self):
-        chain = Chain(draws=np.zeros((3, 2)), burn_in=0, acceptance_rate=None, seed=0)
+        chain = Chain(draws=np.zeros((3, 2)), acceptance_rate=None)
         with pytest.raises(EstimatorError):
             chain_moments(chain)
 
@@ -315,7 +315,7 @@ class TestPgGibbs:
         n_splits = 2
         mean_q, var_q = quad_subposterior_moments_1d(model, shard, n_splits)
         chain, stream = pg_gibbs_logistic(
-            model, shard, n_splits, n_iter=8000, burn_in=2000, seed=3
+            SubposteriorDensity(model, shard, n_splits), n_iter=8000, burn_in=2000, seed=3
         )
         draws = chain.draws[:, 0]
         # Conservative MC error bound: inflate the naive s.e. for autocorrelation.
@@ -328,7 +328,7 @@ class TestPgGibbs:
     def test_stream_reconstructs_conditional_means(self):
         model, shard = logistic_shard_1d(n=40, seed=2)
         chain, stream = pg_gibbs_logistic(
-            model, shard, 1, n_iter=500, burn_in=100, seed=4
+            SubposteriorDensity(model, shard, 1), n_iter=500, burn_in=100, seed=4
         )
         # Every conditional mean lam^-1 eta must be finite and near the draws.
         means = np.array(
@@ -345,16 +345,16 @@ class TestPgGibbs:
             prior=NormalPrior(mean=np.zeros(1), cov=np.eye(1)),
             dim=1,
         )
-        with pytest.raises(ConfigurationError):
-            pg_gibbs_logistic(linear, shard, 1, n_iter=10, burn_in=1, seed=0)
+        with pytest.raises(ConfigurationError, match="requires a logistic likelihood"):
+            pg_gibbs_logistic(SubposteriorDensity(linear, shard, 1), n_iter=10, burn_in=1)
         lap = ModelSpec(
             model_id="lap",
             likelihood=LogisticLikelihood(),
             prior=LaplacePrior(scale=1.0),
             dim=1,
         )
-        with pytest.raises(ConfigurationError):
-            pg_gibbs_logistic(lap, shard, 1, n_iter=10, burn_in=1, seed=0)
+        with pytest.raises(ConfigurationError, match="requires a normal prior"):
+            pg_gibbs_logistic(SubposteriorDensity(lap, shard, 1), n_iter=10, burn_in=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_omega_raises_spd_error(self, monkeypatch, bad):
@@ -368,12 +368,13 @@ class TestPgGibbs:
 
         monkeypatch.setattr(samplers_module, "sample_pg_vec", broken)
         with pytest.raises(SpdError, match="conditional precision on shard 3 is not finite"):
-            pg_gibbs_logistic(model, shard, 2, n_iter=20, burn_in=5, seed=0)
+            pg_gibbs_logistic(SubposteriorDensity(model, shard, 2), n_iter=20, burn_in=5)
 
     def test_deterministic_given_seed(self):
         model, shard = logistic_shard_1d(n=30, seed=5)
-        a, _ = pg_gibbs_logistic(model, shard, 2, n_iter=300, burn_in=50, seed=9)
-        b, _ = pg_gibbs_logistic(model, shard, 2, n_iter=300, burn_in=50, seed=9)
+        density = SubposteriorDensity(model, shard, 2)
+        a, _ = pg_gibbs_logistic(density, n_iter=300, burn_in=50, seed=9)
+        b, _ = pg_gibbs_logistic(density, n_iter=300, burn_in=50, seed=9)
         np.testing.assert_array_equal(a.draws, b.draws)
 
 
@@ -435,7 +436,7 @@ class TestSubposteriorClosure:
         model = ModelSpec(model_id="m", likelihood=lik, prior=prior, dim=p)
         shard = whole_shard(data)
         for n_splits in (1, 4):
-            target = subposterior_closure(model, shard, n_splits)
+            target = subposterior_closure(SubposteriorDensity(model, shard, n_splits))
             for _ in range(5):
                 theta = rng.normal(size=model.theta_dim)
                 np.testing.assert_allclose(
@@ -458,7 +459,7 @@ class TestSubposteriorClosure:
                     model_id="m", likelihood=lik, prior=prior, dim=p, active_features=active
                 )
                 for n_splits in (1, 4, 16):
-                    target = subposterior_closure(model, shard, n_splits)
+                    target = subposterior_closure(SubposteriorDensity(model, shard, n_splits))
                     for coef_scale in (1.0, 1.0, 300.0):
                         theta = rng.normal(size=model.theta_dim)
                         theta[: model.n_coef] *= coef_scale
@@ -667,7 +668,7 @@ class TestLaplaceFit:
         )
         shard = whole_shard(data)
         n_splits = 2
-        fit = laplace_fit(model, shard, n_splits)
+        fit = laplace_fit(SubposteriorDensity(model, shard, n_splits))
         prec = X.T @ X + np.linalg.inv(2.0 * np.eye(p)) / n_splits
         cov = np.linalg.inv(prec)
         mean = cov @ (X.T @ y)
@@ -685,7 +686,7 @@ class TestLaplaceFit:
             prior=NormalPrior(mean=np.zeros(2), cov=np.eye(2)),
             dim=2,
         )
-        fit = laplace_fit(model, whole_shard(Dataset(X=X, y=y)), 1)
+        fit = laplace_fit(SubposteriorDensity(model, whole_shard(Dataset(X=X, y=y)), 1))
         np.testing.assert_allclose(fit.mean[:2], [1.0, -1.0], atol=0.1)
         np.testing.assert_allclose(fit.mean[2], math.log(0.5), atol=0.1)
         assert fit.cov.shape == (3, 3)
@@ -710,8 +711,8 @@ class TestLaplaceFit:
         shards = uniform_split(data.X.shape[0], n_splits, seed=0).shards(data)
         for model in models:
             for shard in shards:
-                fit = laplace_fit(model, shard, n_splits)
                 density = SubposteriorDensity(model, shard, n_splits)
+                fit = laplace_fit(density)
                 assert self.scaled_gradient(density, fit.mean) <= 1e-8
                 np.testing.assert_allclose(
                     fit.cov @ density.neg_hessian(fit.mean), np.eye(model.theta_dim), atol=1e-6
@@ -722,8 +723,8 @@ class TestLaplaceFit:
         data, models = make_synthetic("logistic_basic", seed=0)
         model = replace(models[0], prior=LaplacePrior(scale=1.0))
         shard = uniform_split(data.X.shape[0], n_splits, seed=0).shards(data)[0]
-        fit = laplace_fit(model, shard, n_splits)
         density = SubposteriorDensity(model, shard, n_splits)
+        fit = laplace_fit(density)
         assert self.scaled_gradient(density, fit.mean) <= 1e-8
         mode = self.scipy_mode(density, np.zeros(model.theta_dim))
         sd = np.sqrt(np.diag(fit.cov))
@@ -739,9 +740,9 @@ class TestLaplaceFit:
             model_id="lap", likelihood=LogisticLikelihood(), prior=LaplacePrior(scale=0.05), dim=4
         )
         shard = whole_shard(Dataset(X=X, y=y))
-        fit = laplace_fit(model, shard, 4)
-        np.testing.assert_array_equal(fit.mean[2:], 0.0)
         density = SubposteriorDensity(model, shard, 4)
+        fit = laplace_fit(density)
+        np.testing.assert_array_equal(fit.mean[2:], 0.0)
         value, grad = density.neg_and_grad(fit.mean)
         assert np.abs(grad).max() <= 1e-8
         for direction in np.eye(4)[2:]:  # leaving zero costs more than it gains
@@ -764,9 +765,9 @@ class TestLaplaceFit:
         if log_sigma > 0:
             with pytest.raises(OverflowError):
                 density.neg_and_grad(init - step)
-        fit = laplace_fit(model, shard, 16, init=init)
+        fit = laplace_fit(density, init=init)
         assert self.scaled_gradient(density, fit.mean) <= 1e-8
-        mode = self.scipy_mode(density, laplace_fit(model, shard, 16).mean)
+        mode = self.scipy_mode(density, laplace_fit(density).mean)
         np.testing.assert_allclose(fit.mean, mode, atol=1e-7)
 
     @pytest.mark.filterwarnings("error")
@@ -788,14 +789,14 @@ class TestLaplaceFit:
             dim=p,
         )
         with pytest.raises(EstimatorError, match=message):
-            laplace_fit(model, whole_shard(Dataset(X=X, y=y)), 1, init=init)
+            laplace_fit(SubposteriorDensity(model, whole_shard(Dataset(X=X, y=y)), 1), init=init)
 
     def test_start_without_finite_density_raises(self):
         data, models = make_synthetic("toy_gaussian", seed=0)
         shard = uniform_split(data.X.shape[0], 16, seed=0).shards(data)[0]
         init = np.append(np.zeros(models[-1].n_coef), -400.0)  # exp(800) overflows
         with pytest.raises(EstimatorError, match="start point"):
-            laplace_fit(models[-1], shard, 16, init=init)
+            laplace_fit(SubposteriorDensity(models[-1], shard, 16), init=init)
 
     def test_fit_that_cannot_converge_raises(self, monkeypatch):
         data, models = make_synthetic("toy_gaussian", seed=0)
@@ -803,4 +804,4 @@ class TestLaplaceFit:
         monkeypatch.setattr(samplers_module, "_NEWTON_MAX_ITER", 3)
         init = np.append(np.zeros(models[-1].n_coef), 300.0)
         with pytest.raises(EstimatorError, match="did not converge in 3 Newton steps"):
-            laplace_fit(models[-1], shard, 16, init=init)
+            laplace_fit(SubposteriorDensity(models[-1], shard, 16), init=init)
